@@ -84,16 +84,19 @@ BENCHMARK(BM_DeserializeResourceRecord);
 void BM_FairShareSolver(benchmark::State& state) {
   const auto nflows = static_cast<std::size_t>(state.range(0));
   std::vector<Rate> caps(8, 1e8);
-  std::vector<net::FairFlowDesc> flows;
+  std::vector<std::uint32_t> links;
+  std::vector<Rate> flow_caps;
   Rng rng{11};
   for (std::size_t f = 0; f < nflows; ++f) {
-    net::FairFlowDesc d;
-    d.links = {static_cast<std::uint32_t>(rng.below(8))};
-    d.cap = 1e6 + rng.uniform() * 1e8;
-    flows.push_back(d);
+    links.push_back(static_cast<std::uint32_t>(rng.below(8)));
+    flow_caps.push_back(1e6 + rng.uniform() * 1e8);
   }
+  net::MaxMinSolver solver;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::max_min_fair_rates(caps, flows));
+    solver.clear();
+    for (std::size_t f = 0; f < nflows; ++f) solver.add_flow({&links[f], 1}, flow_caps[f]);
+    solver.solve([&caps](std::uint32_t l) { return caps[l]; });
+    benchmark::DoNotOptimize(solver.rate(0));
   }
 }
 BENCHMARK(BM_FairShareSolver)->Arg(4)->Arg(16)->Arg(64);

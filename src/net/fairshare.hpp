@@ -7,20 +7,20 @@
 // rest continue. This is the standard flow-level model of TCP bandwidth
 // sharing on a shared bottleneck (home LAN vs the thin cloud uplink).
 //
-// Two solvers live here:
+// Two pieces live here:
 //
-//  * max_min_fair_rates() — the original one-shot global water-filling.
-//    It is the semantic reference: Network's default (`NetModel::global`)
-//    calls it on every network event, and the incremental engine's property
-//    tests compare against it.
+//  * MaxMinSolver — the one water-filling in the simulator. Network's
+//    default (`NetModel::global`) re-solves every flow with it on each
+//    network event, vmm::Host shares a CPU with it, and FairShareEngine runs
+//    it over one conflict-graph component.
 //
-//  * FairShareEngine — the incremental solver (ROADMAP item 1). It keeps
-//    per-link flow sets and, on a flow add/remove/cap change or a link
-//    capacity change, re-solves only the *affected connected component* of
-//    the flow–link conflict graph: flows that share no link (directly or
-//    transitively) with the change keep their rates untouched. For the
-//    home-cloud star topologies most components are a handful of flows, so
-//    an event costs O(component) instead of O(flows × links).
+//  * FairShareEngine — the incremental driver. It keeps per-link flow sets
+//    and, on a flow add/remove/cap change or a link capacity change,
+//    re-solves only the *affected connected component* of the flow–link
+//    conflict graph: flows that share no link (directly or transitively)
+//    with the change keep their rates untouched. For the home-cloud star
+//    topologies most components are a handful of flows, so an event costs
+//    O(component) instead of O(flows × links).
 #pragma once
 
 #include <algorithm>
@@ -28,97 +28,135 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/common/units.hpp"
 
 namespace c4h::net {
 
-struct FairFlowDesc {
-  std::vector<std::uint32_t> links;  // indices into the capacity vector
-  Rate cap = std::numeric_limits<Rate>::infinity();  // per-flow rate cap
-};
+/// Progressive filling, allocation-free once its scratch has grown.
+///
+/// Usage: clear(), add_flow() once per flow, solve(), then rate(i) for the
+/// i-th added flow. Each round raises every unfrozen flow by one increment:
+/// the minimum of (capacity − used) / unfrozen-count over loaded links in
+/// ascending id, then of (cap − rate) over unfrozen flows in add order,
+/// clamped at 0. Then every unfrozen flow that reached its cap (within
+/// 1e-7) or crosses a link within 1e-7 of capacity freezes.
+///
+/// Rounds visit only unfrozen flows and still-loaded links, and per-link
+/// unfrozen counts are decremented on freeze instead of recounted. The
+/// minimum is still taken over the same values in the same order, and each
+/// link's `used` receives the same additions in the same order, so every
+/// rate is bitwise the textbook loop's over all flows and all links (the
+/// loop tests/test_fairshare.cpp keeps as its oracle).
+class MaxMinSolver {
+ public:
+  void clear() { flows_.clear(); }
 
-/// Returns one rate per flow. Flows with an empty link list (loopback) get
-/// their own cap. O(iterations × flows × links); fine at home-cloud scale.
-inline std::vector<Rate> max_min_fair_rates(const std::vector<Rate>& link_capacity,
-                                            const std::vector<FairFlowDesc>& flows) {
-  const std::size_t nf = flows.size();
-  std::vector<Rate> rate(nf, 0.0);
-  std::vector<bool> frozen(nf, false);
+  /// Appends a flow over `links` (ids the capacity function accepts). An
+  /// empty list is loopback, rated at its own cap. The list is read in
+  /// place by solve(), so it must stay alive and unchanged until then.
+  void add_flow(std::span<const std::uint32_t> links, Rate cap) { flows_.push_back({links, cap}); }
 
-  // Loopback flows are bounded only by their own cap.
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (flows[f].links.empty()) {
-      rate[f] = flows[f].cap;
-      frozen[f] = true;
-    }
-  }
+  /// Rate of the i-th added flow after solve().
+  Rate rate(std::size_t i) const { return rate_[i]; }
 
-  std::vector<Rate> used(link_capacity.size(), 0.0);
-
-  for (;;) {
-    // Count unfrozen flows per link and find the tightest constraint.
-    std::vector<std::uint32_t> active(link_capacity.size(), 0);
-    bool any_unfrozen = false;
+  /// Solves the added flows; `capacity(l)` returns link l's capacity and is
+  /// called once per distinct loaded link.
+  template <typename CapacityOf>
+  void solve(CapacityOf&& capacity) {
+    const std::size_t nf = flows_.size();
+    rate_.assign(nf, 0.0);
+    unfrozen_.clear();
+    loaded_.clear();
     for (std::size_t f = 0; f < nf; ++f) {
-      if (frozen[f]) continue;
-      any_unfrozen = true;
-      for (const auto l : flows[f].links) ++active[l];
+      const Flow& fl = flows_[f];
+      if (fl.links.empty()) {  // loopback: bounded only by its own cap
+        rate_[f] = fl.cap;
+        continue;
+      }
+      unfrozen_.push_back(static_cast<std::uint32_t>(f));
+      for (const std::uint32_t l : fl.links) {
+        if (l >= active_.size()) {
+          active_.resize(l + 1, 0);
+          used_.resize(l + 1);
+          capacity_.resize(l + 1);
+        }
+        if (active_[l]++ == 0) {
+          loaded_.push_back(l);
+          used_[l] = 0.0;
+          capacity_[l] = capacity(l);
+        }
+      }
     }
-    if (!any_unfrozen) break;
+    std::sort(loaded_.begin(), loaded_.end());
 
-    // Headroom per active link / flow count = the equal increment each
-    // unfrozen flow could still receive from that link.
-    double increment = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < link_capacity.size(); ++l) {
-      if (active[l] == 0) continue;
-      increment = std::min(increment, (link_capacity[l] - used[l]) / active[l]);
-    }
-    // A flow's own cap may bind before any link.
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (!frozen[f]) increment = std::min(increment, flows[f].cap - rate[f]);
-    }
-    if (increment < 0) increment = 0;
-
-    // Raise every unfrozen flow by the increment.
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (frozen[f]) continue;
-      rate[f] += increment;
-      for (const auto l : flows[f].links) used[l] += increment;
-    }
-
-    // Freeze flows that hit their cap or traverse a saturated link.
     constexpr double kEps = 1e-7;
-    bool froze_any = false;
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (frozen[f]) continue;
-      bool saturated = rate[f] >= flows[f].cap - kEps;
-      for (const auto l : flows[f].links) {
-        if (used[l] >= link_capacity[l] - kEps) saturated = true;
+    while (!unfrozen_.empty()) {
+      double increment = std::numeric_limits<double>::infinity();
+      for (const std::uint32_t l : loaded_) {
+        increment = std::min(increment, (capacity_[l] - used_[l]) / active_[l]);
       }
-      if (saturated) {
-        frozen[f] = true;
-        froze_any = true;
+      for (const std::uint32_t f : unfrozen_) {
+        increment = std::min(increment, flows_[f].cap - rate_[f]);
       }
+      if (increment < 0) increment = 0;
+
+      for (const std::uint32_t f : unfrozen_) {
+        rate_[f] += increment;
+        for (const std::uint32_t l : flows_[f].links) used_[l] += increment;
+      }
+
+      std::size_t kept = 0;
+      for (const std::uint32_t f : unfrozen_) {
+        const Flow& fl = flows_[f];
+        bool saturated = rate_[f] >= fl.cap - kEps;
+        for (const std::uint32_t l : fl.links) {
+          if (used_[l] >= capacity_[l] - kEps) saturated = true;
+        }
+        if (saturated) {
+          for (const std::uint32_t l : fl.links) --active_[l];
+        } else {
+          unfrozen_[kept++] = f;
+        }
+      }
+      if (kept == unfrozen_.size()) break;  // numerical safety; should not happen
+      unfrozen_.resize(kept);
+      std::erase_if(loaded_, [this](std::uint32_t l) { return active_[l] == 0; });
     }
-    if (!froze_any) break;  // numerical safety; should not happen
+    for (const std::uint32_t l : loaded_) active_[l] = 0;  // non-empty only after the safety break
   }
-  return rate;
-}
+
+ private:
+  struct Flow {
+    std::span<const std::uint32_t> links;
+    Rate cap;
+  };
+
+  std::vector<Flow> flows_;
+  std::vector<Rate> rate_;
+  std::vector<std::uint32_t> unfrozen_;  // flow indices, ascending
+  std::vector<std::uint32_t> loaded_;    // links with unfrozen flows, ascending
+  // Indexed by link id. active_ is all zero between solves; used_ and
+  // capacity_ are only read for links in loaded_.
+  std::vector<std::uint32_t> active_;
+  std::vector<Rate> used_;
+  std::vector<Rate> capacity_;
+};
 
 /// Incremental max-min fair-share solver over the flow–link conflict graph.
 ///
 /// Usage: mutate (add_flow / remove_flow / set_flow_cap / set_link_capacity,
 /// any number of them), then commit(). commit() gathers the connected
-/// component(s) reachable from the dirtied links, water-fills each with the
-/// same progressive-filling math as max_min_fair_rates(), and returns the
-/// ids (ascending) whose rates were re-solved. Everything outside those
-/// components is untouched — that is the whole point.
+/// component(s) reachable from the dirtied links, water-fills them with
+/// MaxMinSolver, and returns the ids (ascending) whose rates were
+/// re-solved. Everything outside those components is untouched — that is
+/// the whole point.
 ///
-/// Determinism: flows are kept per-link in ascending-id vectors and every
-/// traversal/solve iterates flows by ascending id and links by ascending
-/// id, so same inputs ⇒ same floating-point operation order ⇒ same rates.
+/// Determinism: flows are kept per-link in ascending-id vectors and the
+/// solver sees the component's flows by ascending id, so same inputs ⇒ same
+/// floating-point operation order ⇒ same rates.
 class FairShareEngine {
  public:
   explicit FairShareEngine(std::vector<Rate> link_capacity)
@@ -194,7 +232,6 @@ class FairShareEngine {
     // flows, a flow pulls in its links. Marks are monotone epochs so no
     // per-commit clearing is needed.
     ++epoch_;
-    comp_links_.clear();
     for (const std::uint32_t l : dirty_links_) visit_link(l);
     dirty_links_.clear();
     // BFS worklist: affected_ doubles as the flow queue (it only grows).
@@ -203,9 +240,14 @@ class FairShareEngine {
     }
     if (affected_.empty()) return affected_;
     std::sort(affected_.begin(), affected_.end());
-    std::sort(comp_links_.begin(), comp_links_.end());
 
-    solve_component();
+    solver_.clear();
+    for (const std::uint64_t id : affected_) {
+      const EFlow& f = flows_.at(id);
+      solver_.add_flow(f.links, f.cap);
+    }
+    solver_.solve([this](std::uint32_t l) { return caps_[l]; });
+    for (std::size_t i = 0; i < affected_.size(); ++i) flows_.at(affected_[i]).rate = solver_.rate(i);
     return affected_;
   }
 
@@ -215,84 +257,17 @@ class FairShareEngine {
     Rate cap = std::numeric_limits<Rate>::infinity();
     Rate rate = 0;
     std::uint64_t mark = 0;      // epoch when last pulled into a component
-    std::uint32_t local = 0;     // scratch index during solve_component()
   };
 
   void visit_link(std::uint32_t l) {
     if (link_mark_[l] == epoch_) return;
     link_mark_[l] = epoch_;
-    comp_links_.push_back(l);
     for (const std::uint64_t id : link_flows_[l]) {
       EFlow& f = flows_.at(id);
       if (f.mark == epoch_) continue;
       f.mark = epoch_;
       affected_.push_back(id);
     }
-  }
-
-  /// Progressive filling over the gathered component, arithmetic-for-
-  /// arithmetic the algorithm of max_min_fair_rates() restricted to the
-  /// component (flows ascending id, links ascending id).
-  void solve_component() {
-    const std::size_t nf = affected_.size();
-    const std::size_t nl = comp_links_.size();
-    rate_.assign(nf, 0.0);
-    frozen_.assign(nf, 0);
-    used_.assign(nl, 0.0);
-    active_.assign(nl, 0);
-    // Map global link ids to component-local ones via the epoch marks:
-    // link_local_ is only read for links whose mark equals the epoch.
-    link_local_.resize(link_mark_.size());
-    for (std::size_t i = 0; i < nl; ++i) link_local_[comp_links_[i]] = static_cast<std::uint32_t>(i);
-    for (std::size_t i = 0; i < nf; ++i) flows_.at(affected_[i]).local = static_cast<std::uint32_t>(i);
-
-    for (;;) {
-      std::fill(active_.begin(), active_.end(), 0u);
-      bool any_unfrozen = false;
-      for (std::size_t i = 0; i < nf; ++i) {
-        if (frozen_[i] != 0) continue;
-        any_unfrozen = true;
-        for (const std::uint32_t l : flows_.at(affected_[i]).links) ++active_[link_local_[l]];
-      }
-      if (!any_unfrozen) break;
-
-      double increment = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < nl; ++i) {
-        if (active_[i] == 0) continue;
-        increment = std::min(increment, (caps_[comp_links_[i]] - used_[i]) / active_[i]);
-      }
-      for (std::size_t i = 0; i < nf; ++i) {
-        if (frozen_[i] == 0) {
-          increment = std::min(increment, flows_.at(affected_[i]).cap - rate_[i]);
-        }
-      }
-      if (increment < 0) increment = 0;
-
-      for (std::size_t i = 0; i < nf; ++i) {
-        if (frozen_[i] != 0) continue;
-        rate_[i] += increment;
-        for (const std::uint32_t l : flows_.at(affected_[i]).links) used_[link_local_[l]] += increment;
-      }
-
-      constexpr double kEps = 1e-7;
-      bool froze_any = false;
-      for (std::size_t i = 0; i < nf; ++i) {
-        if (frozen_[i] != 0) continue;
-        const EFlow& f = flows_.at(affected_[i]);
-        bool saturated = rate_[i] >= f.cap - kEps;
-        for (const std::uint32_t l : f.links) {
-          const std::uint32_t ll = link_local_[l];
-          if (used_[ll] >= caps_[comp_links_[ll]] - kEps) saturated = true;
-        }
-        if (saturated) {
-          frozen_[i] = 1;
-          froze_any = true;
-        }
-      }
-      if (!froze_any) break;  // numerical safety; should not happen
-    }
-
-    for (std::size_t i = 0; i < nf; ++i) flows_.at(affected_[i]).rate = rate_[i];
   }
 
   std::vector<Rate> caps_;
@@ -305,16 +280,9 @@ class FairShareEngine {
 
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> link_mark_;
-  std::vector<std::uint32_t> link_local_;
   std::vector<std::uint32_t> dirty_links_;
-  std::vector<std::uint32_t> comp_links_;
   std::vector<std::uint64_t> affected_;
-  // solve_component() scratch, reused across commits to stay allocation-free
-  // on the hot path.
-  std::vector<Rate> rate_;
-  std::vector<std::uint8_t> frozen_;
-  std::vector<Rate> used_;
-  std::vector<std::uint32_t> active_;
+  MaxMinSolver solver_;
 };
 
 }  // namespace c4h::net

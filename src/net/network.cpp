@@ -249,6 +249,14 @@ void Network::advance_progress() {
   for (auto& [id, f] : flows_) advance_flow(f);
 }
 
+Duration Network::time_to_event(const Flow& f) const {
+  double bytes_to_event = f.total - f.done;
+  if (const auto b = f.profile.next_phase_boundary(static_cast<Bytes>(f.done))) {
+    bytes_to_event = std::min(bytes_to_event, static_cast<double>(*b) - f.done);
+  }
+  return from_seconds(std::max(bytes_to_event, 0.0) / f.rate);
+}
+
 void Network::recompute() {
   advance_progress();
 
@@ -259,7 +267,6 @@ void Network::recompute() {
   for (auto it = flows_.begin(); it != flows_.end();) {
     Flow& f = it->second;
     if (f.total - f.done <= kByteEps) {
-      sim_.cancel(f.next_event);
       completed.push_back(std::move(f.on_complete));
       link_index_remove(f);
       it = flows_.erase(it);
@@ -268,36 +275,21 @@ void Network::recompute() {
     }
   }
 
-  // Solve max-min rates for the remaining flows.
-  std::vector<Rate> caps(topo_.link_count());
-  for (LinkId l = 0; l < caps.size(); ++l) caps[l] = topo_.link(l).capacity;
+  // Solve max-min rates for the remaining flows, ascending id.
+  solver_.clear();
+  for (const auto& [id, f] : flows_) solver_.add_flow(f.links, flow_cap(f));
+  solver_.solve([this](LinkId l) { return topo_.link(l).capacity; });
 
-  std::vector<std::uint64_t> ids;
-  std::vector<FairFlowDesc> descs;
-  ids.reserve(flows_.size());
-  descs.reserve(flows_.size());
+  // The next network event: the earliest completion or TCP phase boundary.
+  Duration next = Duration::max();
+  std::size_t i = 0;
   for (auto& [id, f] : flows_) {
-    ids.push_back(id);
-    FairFlowDesc d;
-    d.links = f.links;
-    d.cap = flow_cap(f);
-    descs.push_back(std::move(d));
-  }
-  const std::vector<Rate> rates = max_min_fair_rates(caps, descs);
-
-  // Reschedule each flow's next event: completion or TCP phase boundary.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    Flow& f = flows_.at(ids[i]);
-    f.rate = rates[i];
-    sim_.cancel(f.next_event);
+    f.rate = solver_.rate(i++);
     if (f.rate <= 0) continue;  // parked until some other event frees capacity
-    double bytes_to_event = f.total - f.done;
-    if (const auto b = f.profile.next_phase_boundary(static_cast<Bytes>(f.done))) {
-      bytes_to_event = std::min(bytes_to_event, static_cast<double>(*b) - f.done);
-    }
-    const Duration dt = from_seconds(std::max(bytes_to_event, 0.0) / f.rate);
-    f.next_event = sim_.schedule(dt, [this] { recompute(); });
+    next = std::min(next, time_to_event(f));
   }
+  sim_.cancel(next_event_);
+  if (next != Duration::max()) next_event_ = sim_.schedule(next, [this] { recompute(); });
 
   for (auto& cb : completed) cb();
 }
@@ -317,23 +309,28 @@ void Network::reschedule_flow(Flow& f) {
   sim_.cancel(f.next_event);
   f.next_event = {};
   if (f.rate <= 0) return;  // parked until some other event frees capacity
-  double bytes_to_event = f.total - f.done;
-  if (const auto b = f.profile.next_phase_boundary(static_cast<Bytes>(f.done))) {
-    bytes_to_event = std::min(bytes_to_event, static_cast<double>(*b) - f.done);
-  }
-  const Duration dt = from_seconds(std::max(bytes_to_event, 0.0) / f.rate);
   const std::uint64_t id = f.id;
-  f.next_event = sim_.schedule(dt, [this, id] { on_flow_event(id); });
+  f.next_event = sim_.schedule(time_to_event(f), [this, id] { on_flow_event(id); });
 }
 
 void Network::apply_commit() {
   // Affected flows change rate *now*: credit progress at the old rate
-  // first, then adopt the engine's new rate and reschedule.
-  for (const std::uint64_t id : engine_->commit()) {
-    Flow& f = flows_.at(id);
-    advance_flow(f);
-    f.rate = engine_->rate(id);
-    reschedule_flow(f);
+  // first, then adopt the engine's new rate and reschedule. A re-rated flow
+  // may just have crossed a TCP phase boundary whose own event this
+  // reschedule cancels, so its cap is refreshed here and, if it moved,
+  // the component is solved again.
+  for (bool recapped = true; recapped;) {
+    recapped = false;
+    for (const std::uint64_t id : engine_->commit()) {
+      Flow& f = flows_.at(id);
+      advance_flow(f);
+      f.rate = engine_->rate(id);
+      if (const Rate cap = flow_cap(f); cap != engine_->flow_cap(id)) {
+        engine_->set_flow_cap(id, cap);
+        recapped = true;
+      }
+      reschedule_flow(f);
+    }
   }
 }
 
@@ -366,10 +363,6 @@ void Network::solve_analytical(const std::vector<LinkId>& links) {
 }
 
 void Network::on_flow_event(std::uint64_t id) {
-  if (model_ == NetModel::global) {
-    recompute();
-    return;
-  }
   const auto it = flows_.find(id);
   if (it == flows_.end()) return;  // defensive; cancellation should prevent this
   Flow& f = it->second;

@@ -8,6 +8,11 @@
 // "network events" (flow arrivals, completions, TCP phase changes); at each
 // event every flow's progress is advanced and rates are re-solved.
 //
+// Under the default `global` model exactly one event is pending while flows
+// run: the earliest completion or phase boundary over all flows. Every
+// event re-solves every flow and reschedules, so no later boundary could
+// fire before being replaced.
+//
 // Small control messages (VStore++ commands are < 50 bytes, §IV) are pure
 // latency: they never book bandwidth.
 #pragma once
@@ -130,7 +135,7 @@ class Network {
     double jitter_mult = 1.0;
     Rate rate = 0;
     TimePoint last_update{};
-    sim::EventId next_event;
+    sim::EventId next_event;  // incremental / analytical only
     std::function<void()> on_complete;
   };
 
@@ -141,6 +146,7 @@ class Network {
 
   // Shared helpers (all models).
   double flow_cap(const Flow& f) const;     // TCP/bottleneck/jitter rate cap
+  Duration time_to_event(const Flow& f) const;  // to completion or phase boundary
   void advance_flow(Flow& f);               // credit progress at current rate
   void link_index_add(const Flow& f);
   void link_index_remove(const Flow& f);
@@ -163,6 +169,8 @@ class Network {
   // layout — determinism rule R3 (tools/c4h-lint).
   std::map<std::uint64_t, Flow> flows_;
   NetModel model_ = NetModel::global;
+  sim::EventId next_event_;                  // global model: the one pending event
+  MaxMinSolver solver_;                      // global model
   std::unique_ptr<FairShareEngine> engine_;  // incremental model only
   // Per-link index of in-flight flow ids, ascending (ids are monotone and
   // flows join at admission). Serves O(flows-on-link) link_load in every

@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -39,13 +39,17 @@ struct Link {
 
 /// Static topology with memoized lowest-latency routes.
 ///
-/// Routes are resolved lazily, one (src, dst) pair at a time, with an
-/// early-exit Dijkstra. The previous implementation built the full
-/// all-pairs table on the first route() call — O(n²) paths of memory and
-/// O(n · E log n) time — which is prohibitive at the 10k-node scale the
-/// core scaling study drives; a star-ish topology only ever pays for the
-/// pairs that actually communicate. Resolved paths are byte-identical to
-/// the old table's (same relaxation rule, same tie-breaking heap order).
+/// A route is read off a shortest-path tree over latency, built in full the
+/// first time a route leaves its root: strict-< relaxation over a
+/// (distance, node id) min-heap. A node's predecessor is final once it is
+/// popped, so each tree path is exactly the path an early-exit search for
+/// that one destination would return. A node with a single out-link (a
+/// host on its switch) reads the tree of that link's far end u: a search
+/// from it settles itself, then continues as u's search with all distances
+/// shifted by that link (integer nanoseconds, so no comparison changes), so
+/// its path is that link followed by u's. One tree per hub therefore serves
+/// every host behind it, at 4 bytes per node per tree. Resolved paths are
+/// memoized per pair so route() can hand out stable references.
 class Topology {
  public:
   NetNodeId add_node() {
@@ -99,87 +103,72 @@ class Topology {
   }
 
  private:
+  static constexpr LinkId kNoLink = UINT32_MAX;
+
   const std::vector<LinkId>* find_route(NetNodeId src, NetNodeId dst) const {
     if (routes_dirty_) {
       routes_.clear();
-      no_route_.clear();
+      trees_.clear();
       routes_dirty_ = false;
     }
     const auto key = (std::uint64_t{src.v} << 32) | dst.v;
     if (const auto it = routes_.find(key); it != routes_.end()) return &it->second;
-    if (no_route_.contains(key)) return nullptr;
     std::vector<LinkId> path;
-    if (!shortest_path(src.v, dst.v, path)) {
-      no_route_.insert(key);
-      return nullptr;
+    if (src.v != dst.v) {
+      std::uint32_t root = src.v;
+      if (adjacency_[src.v].size() == 1) {
+        const LinkId up = adjacency_[src.v].front();
+        path.push_back(up);
+        root = links_[up].to.v;
+      }
+      const std::vector<LinkId>& via = tree(root);
+      if (dst.v != root) {
+        if (via[dst.v] == kNoLink) return nullptr;
+        const auto head = static_cast<std::ptrdiff_t>(path.size());
+        for (std::uint32_t cur = dst.v; cur != root; cur = links_[via[cur]].from.v) {
+          path.push_back(via[cur]);
+        }
+        std::reverse(path.begin() + head, path.end());
+      }
     }
     return &routes_.emplace(key, std::move(path)).first->second;
   }
 
-  // Early-exit Dijkstra over latency from `s`, stopping once `t` settles.
-  // Strict-< relaxation with a (distance, node-id) min-heap: exactly the
-  // old full-table build, so the memoized path for a pair is the path the
-  // eager version would have produced. A popped node is final, which makes
-  // breaking at `t` safe.
-  bool shortest_path(std::uint32_t s, std::uint32_t t, std::vector<LinkId>& out) const {
+  /// The shortest-path tree rooted at `root`: each node's last link on its
+  /// path from the root, kNoLink for the root and unreachable nodes.
+  const std::vector<LinkId>& tree(std::uint32_t root) const {
+    const auto [it, fresh] = trees_.try_emplace(root);
+    std::vector<LinkId>& via = it->second;
+    if (!fresh) return via;
     const auto n = adjacency_.size();
-    if (++epoch_ == 0) {  // stamp wrap: invalidate every slot the hard way
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
-      epoch_ = 1;
-    }
-    dist_.resize(n);
-    via_.resize(n);
-    stamp_.resize(n, 0u);
-    const auto dist_at = [this](std::uint32_t v) {
-      return stamp_[v] == epoch_ ? dist_[v] : Duration::max();
-    };
-
+    via.assign(n, kNoLink);
+    std::vector<Duration> dist(n, Duration::max());
     using QE = std::pair<Duration, std::uint32_t>;
     std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-    stamp_[s] = epoch_;
-    dist_[s] = Duration::zero();
-    pq.push({Duration::zero(), s});
-    bool found = false;
+    dist[root] = Duration::zero();
+    pq.push({Duration::zero(), root});
     while (!pq.empty()) {
       const auto [d, u] = pq.top();
       pq.pop();
-      if (d > dist_at(u)) continue;
-      if (u == t) {
-        found = true;
-        break;
-      }
+      if (d > dist[u]) continue;
       for (const LinkId lid : adjacency_[u]) {
         const Link& l = links_[lid];
         const Duration nd = d + l.latency;
-        if (nd < dist_at(l.to.v)) {
-          stamp_[l.to.v] = epoch_;
-          dist_[l.to.v] = nd;
-          via_[l.to.v] = lid;
+        if (nd < dist[l.to.v]) {
+          dist[l.to.v] = nd;
+          via[l.to.v] = lid;
           pq.push({nd, l.to.v});
         }
       }
     }
-    if (!found) return false;
-    out.clear();
-    for (std::uint32_t cur = t; cur != s;) {
-      const LinkId lid = via_[cur];
-      out.push_back(lid);
-      cur = links_[lid].from.v;
-    }
-    std::reverse(out.begin(), out.end());
-    return true;
+    return via;
   }
 
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> adjacency_;
   mutable std::unordered_map<std::uint64_t, std::vector<LinkId>> routes_;
-  mutable std::unordered_set<std::uint64_t> no_route_;
+  mutable std::unordered_map<std::uint32_t, std::vector<LinkId>> trees_;  // by root
   mutable bool routes_dirty_ = false;
-  // Dijkstra scratch, epoch-stamped so a query costs O(visited), not O(n).
-  mutable std::vector<Duration> dist_;
-  mutable std::vector<LinkId> via_;
-  mutable std::vector<std::uint32_t> stamp_;
-  mutable std::uint32_t epoch_ = 0;
 };
 
 }  // namespace c4h::net

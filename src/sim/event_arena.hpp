@@ -15,7 +15,8 @@
 //  * The time-ordered heap holds plain 24-byte entries. Cancelled events
 //    leave tombstones that are skipped on pop; when tombstones outnumber
 //    live entries the heap is compacted in O(live), so cancel-heavy runs
-//    (every flow reschedule cancels) keep bounded memory.
+//    (timeouts that rarely fire, a flow event replaced on every re-solve)
+//    keep bounded memory.
 //
 // Determinism contract: entries are ordered by (timestamp, sequence) where
 // the sequence number increments once per schedule() call — equal-timestamp

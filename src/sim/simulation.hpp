@@ -7,8 +7,9 @@
 //
 // Storage is the slab/free-list EventArena (event_arena.hpp): callbacks are
 // held inline (no allocation for the common capture sizes), cancellation is
-// O(1) via generation-tagged ids, and heavy cancel/reschedule churn — every
-// flow reschedule cancels — compacts instead of growing the heap. The
+// O(1) via generation-tagged ids, and heavy cancel/reschedule churn — timeouts
+// that almost never fire, the network's one flow event replaced on every
+// re-solve — compacts instead of growing the heap. The
 // equal-timestamp FIFO contract is unchanged from the previous map-based
 // engine, byte for byte.
 #pragma once

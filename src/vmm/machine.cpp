@@ -107,7 +107,6 @@ void Host::recompute() {
   std::vector<sim::Event*> completed;
   for (auto it = jobs_.begin(); it != jobs_.end();) {
     if (it->second.remaining <= kCycleEps) {
-      sim_.cancel(it->second.next_event);
       completed.push_back(it->second.done);
       ++jobs_completed_;
       it = jobs_.erase(it);
@@ -117,24 +116,21 @@ void Host::recompute() {
   }
 
   // One "link" (host capacity) shared max-min with per-job parallelism caps.
-  const std::vector<Rate> caps{capacity()};
-  std::vector<std::uint64_t> ids;
-  std::vector<net::FairFlowDesc> descs;
-  ids.reserve(jobs_.size());
-  for (auto& [id, j] : jobs_) {
-    ids.push_back(id);
-    descs.push_back(net::FairFlowDesc{{0}, j.cap});
-  }
-  const auto rates = net::max_min_fair_rates(caps, descs);
+  static constexpr std::uint32_t kCpu[] = {0};
+  solver_.clear();
+  for (const auto& [id, j] : jobs_) solver_.add_flow(kCpu, j.cap);
+  solver_.solve([this](std::uint32_t) { return capacity(); });
 
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    Job& j = jobs_.at(ids[i]);
-    j.rate = rates[i];
-    sim_.cancel(j.next_event);
+  // One pending event, as in net::Network: the earliest job completion.
+  Duration next = Duration::max();
+  std::size_t i = 0;
+  for (auto& [id, j] : jobs_) {
+    j.rate = solver_.rate(i++);
     if (j.rate <= 0) continue;
-    const Duration dt = from_seconds(j.remaining / j.rate);
-    j.next_event = sim_.schedule(dt, [this] { recompute(); });
+    next = std::min(next, from_seconds(j.remaining / j.rate));
   }
+  sim_.cancel(next_event_);
+  if (next != Duration::max()) next_event_ = sim_.schedule(next, [this] { recompute(); });
 
   for (auto* ev : completed) ev->fire();
 }

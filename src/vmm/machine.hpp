@@ -137,7 +137,6 @@ class Host {
     double cap;        // Gcycles/sec this job can use at most
     double rate = 0;
     TimePoint last_update{};
-    sim::EventId next_event;
     sim::Event* done;
   };
 
@@ -157,6 +156,8 @@ class Host {
   // table into the fair-share solver and cpu_utilization() sums rates, so
   // iteration order must be seed-stable — determinism rule R3 (tools/c4h-lint).
   std::map<std::uint64_t, Job> jobs_;
+  sim::EventId next_event_;  // the earliest job completion
+  net::MaxMinSolver solver_;
   std::uint64_t jobs_completed_ = 0;
 
   double battery_wh_;

@@ -2,8 +2,16 @@
 // and the event-driven flow engine (contention, phase boundaries, jitter).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <queue>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/net/fairshare.hpp"
 #include "src/net/network.hpp"
@@ -55,20 +63,135 @@ TEST(Topology, NoRouteDetected) {
   EXPECT_TRUE(t.has_route(a, a));
 }
 
+// The per-pair search routes used to come from: Dijkstra over latency from
+// `s`, stopping once `t` settles, with strict-< relaxation and a
+// (distance, node id) min-heap. Route trees must return exactly its paths.
+std::optional<std::vector<LinkId>> early_exit_route(const Topology& t, NetNodeId src, NetNodeId dst) {
+  const std::uint32_t s = src.v;
+  const std::uint32_t target = dst.v;
+  std::vector<std::vector<LinkId>> adjacency(t.node_count());
+  for (LinkId lid = 0; lid < t.link_count(); ++lid) adjacency[t.link(lid).from.v].push_back(lid);
+  std::vector<Duration> dist(t.node_count(), Duration::max());
+  std::vector<LinkId> via(t.node_count(), UINT32_MAX);
+  using QE = std::pair<Duration, std::uint32_t>;
+  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+  dist[s] = Duration::zero();
+  pq.push({Duration::zero(), s});
+  bool found = false;
+  while (!pq.empty()) {
+    const auto [d, u] = pq.top();
+    pq.pop();
+    if (d > dist[u]) continue;
+    if (u == target) {
+      found = true;
+      break;
+    }
+    for (const LinkId lid : adjacency[u]) {
+      const Link& l = t.link(lid);
+      const Duration nd = d + l.latency;
+      if (nd < dist[l.to.v]) {
+        dist[l.to.v] = nd;
+        via[l.to.v] = lid;
+        pq.push({nd, l.to.v});
+      }
+    }
+  }
+  if (!found) return std::nullopt;
+  std::vector<LinkId> out;
+  for (std::uint32_t cur = target; cur != s; cur = t.link(via[cur]).from.v) out.push_back(via[cur]);
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+void expect_routes_match_search(const Topology& t, const std::string& context) {
+  for (std::uint32_t a = 0; a < t.node_count(); ++a) {
+    for (std::uint32_t b = 0; b < t.node_count(); ++b) {
+      const NetNodeId src{a};
+      const NetNodeId dst{b};
+      const auto want = early_exit_route(t, src, dst);
+      ASSERT_EQ(t.has_route(src, dst), want.has_value()) << context << " " << a << "->" << b;
+      if (want) {
+        EXPECT_EQ(t.route(src, dst), *want) << context << " " << a << "->" << b;
+      }
+    }
+  }
+}
+
+TEST(Topology, RouteTreesMatchEarlyExitSearchOnRandomTopologies) {
+  // Hubs joined at random, each with leaf hosts on a single uplink, and a few
+  // isolated nodes, some whose only out-link is a self-loop. Latencies come
+  // from a handful of values (many equal-cost ties, some zero), and some
+  // links are one-way, so parts of the graph are unreachable from others.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng{seed};
+    Topology t;
+    const auto lat = [&rng] {
+      const std::int64_t choices[] = {0, 1, 1, 2, 3, 5};
+      return milliseconds(choices[rng.below(6)]);
+    };
+    std::vector<NetNodeId> hubs;
+    const auto n_hubs = 1 + rng.below(6);
+    for (std::uint64_t h = 0; h < n_hubs; ++h) hubs.push_back(t.add_node());
+    for (std::uint64_t e = 0; e < n_hubs * 2; ++e) {
+      const auto a = hubs[rng.below(hubs.size())];
+      const auto b = hubs[rng.below(hubs.size())];
+      if (a == b) continue;
+      if (rng.below(4) == 0) {
+        t.add_link(a, b, mbps(100), lat());
+      } else {
+        t.add_duplex(a, b, mbps(100), lat());
+      }
+    }
+    for (std::uint64_t i = 0, n = rng.below(12); i < n; ++i) {
+      const auto leaf = t.add_node();
+      const auto hub = hubs[rng.below(hubs.size())];
+      if (rng.below(5) == 0) {
+        t.add_link(hub, leaf, mbps(100), lat());  // receive-only host
+      } else {
+        t.add_duplex(leaf, hub, mbps(100), lat());
+      }
+    }
+    for (std::uint64_t i = 0, n = rng.below(3); i < n; ++i) {
+      const auto lone = t.add_node();
+      if (rng.below(2) == 0) t.add_link(lone, lone, mbps(100), lat());
+    }
+    expect_routes_match_search(t, "seed " + std::to_string(seed));
+  }
+
+  // A bare duplex pair: both ends have a single out-link to each other.
+  Topology pair;
+  const auto a = pair.add_node();
+  const auto b = pair.add_node();
+  pair.add_duplex(a, b, mbps(100), milliseconds(1));
+  expect_routes_match_search(pair, "pair");
+}
+
 // --- Fair-share solver ---
+
+struct SolverFlow {
+  std::vector<std::uint32_t> links;
+  Rate cap;
+};
+
+std::vector<Rate> max_min_rates(const std::vector<Rate>& caps, const std::vector<SolverFlow>& flows) {
+  MaxMinSolver solver;
+  for (const SolverFlow& f : flows) solver.add_flow(f.links, f.cap);
+  solver.solve([&caps](std::uint32_t l) { return caps[l]; });
+  std::vector<Rate> out;
+  for (std::size_t i = 0; i < flows.size(); ++i) out.push_back(solver.rate(i));
+  return out;
+}
 
 TEST(FairShare, EqualSplitOnSharedLink) {
   const std::vector<Rate> caps{100.0};
-  std::vector<FairFlowDesc> flows{{{0}, 1e18}, {{0}, 1e18}};
-  const auto r = max_min_fair_rates(caps, flows);
+  const auto r = max_min_rates(caps, {{{0}, 1e18}, {{0}, 1e18}});
   EXPECT_NEAR(r[0], 50.0, 1e-6);
   EXPECT_NEAR(r[1], 50.0, 1e-6);
 }
 
 TEST(FairShare, CappedFlowReleasesBandwidth) {
   const std::vector<Rate> caps{100.0};
-  std::vector<FairFlowDesc> flows{{{0}, 10.0}, {{0}, 1e18}};
-  const auto r = max_min_fair_rates(caps, flows);
+  const auto r = max_min_rates(caps, {{{0}, 10.0}, {{0}, 1e18}});
   EXPECT_NEAR(r[0], 10.0, 1e-6);
   EXPECT_NEAR(r[1], 90.0, 1e-6);
 }
@@ -76,32 +199,28 @@ TEST(FairShare, CappedFlowReleasesBandwidth) {
 TEST(FairShare, MultiLinkBottleneck) {
   // Flow 0 goes over links 0+1, flow 1 over link 1 only; link 1 is thin.
   const std::vector<Rate> caps{100.0, 30.0};
-  std::vector<FairFlowDesc> flows{{{0, 1}, 1e18}, {{1}, 1e18}};
-  const auto r = max_min_fair_rates(caps, flows);
+  const auto r = max_min_rates(caps, {{{0, 1}, 1e18}, {{1}, 1e18}});
   EXPECT_NEAR(r[0], 15.0, 1e-6);
   EXPECT_NEAR(r[1], 15.0, 1e-6);
 }
 
 TEST(FairShare, IndependentLinksRunAtCapacity) {
   const std::vector<Rate> caps{100.0, 40.0};
-  std::vector<FairFlowDesc> flows{{{0}, 1e18}, {{1}, 1e18}};
-  const auto r = max_min_fair_rates(caps, flows);
+  const auto r = max_min_rates(caps, {{{0}, 1e18}, {{1}, 1e18}});
   EXPECT_NEAR(r[0], 100.0, 1e-6);
   EXPECT_NEAR(r[1], 40.0, 1e-6);
 }
 
 TEST(FairShare, LoopbackGetsOwnCap) {
   const std::vector<Rate> caps{10.0};
-  std::vector<FairFlowDesc> flows{{{}, 55.0}, {{0}, 1e18}};
-  const auto r = max_min_fair_rates(caps, flows);
+  const auto r = max_min_rates(caps, {{{}, 55.0}, {{0}, 1e18}});
   EXPECT_NEAR(r[0], 55.0, 1e-6);
   EXPECT_NEAR(r[1], 10.0, 1e-6);
 }
 
 TEST(FairShare, ManyFlowsConserveCapacity) {
   const std::vector<Rate> caps{97.0};
-  std::vector<FairFlowDesc> flows(13, FairFlowDesc{{0}, 1e18});
-  const auto r = max_min_fair_rates(caps, flows);
+  const auto r = max_min_rates(caps, std::vector<SolverFlow>(13, SolverFlow{{0}, 1e18}));
   double sum = 0;
   for (const auto x : r) sum += x;
   EXPECT_NEAR(sum, 97.0, 1e-5);
@@ -341,6 +460,25 @@ TEST(Network, JitteredLinkProducesVariableRates) {
   }
   EXPECT_GT(times.stddev() / times.mean(), 0.1);  // visible variability
   EXPECT_GT(times.min(), 0.2);                    // bounded by jitter clamp
+}
+
+TEST(Network, OneEventPendingWhileFlowsRun) {
+  // Every network event re-solves all flows, so only the earliest completion
+  // or phase boundary is ever scheduled, however many flows are in flight.
+  Simulation sim;
+  auto hp = make_lan(10.0 * 1000 * 1000);
+  Network net{sim, std::move(hp.topo)};
+  std::vector<Duration> times(50);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    sim.spawn(timed_transfer(net, sim, i % 2 == 0 ? hp.a : hp.b, i % 2 == 0 ? hp.b : hp.a,
+                             (1 + i % 7) * 100_KB, times[i]));
+  }
+  sim.run_until(milliseconds(50));
+  ASSERT_EQ(net.active_flows(), 50u);
+  EXPECT_EQ(sim.pending_event_count(), 1u);
+  sim.run();
+  EXPECT_EQ(net.stats().flows_completed, 50u);
+  EXPECT_EQ(sim.pending_event_count(), 0u);
 }
 
 TEST(Network, StatsAreTracked) {
