@@ -24,22 +24,19 @@ namespace c4h::bench {
 /// The flags every bench understands. `--quick` selects the CI smoke subset,
 /// `--seed N` re-seeds the whole run (same seed ⇒ byte-identical artifact),
 /// `--nodes N` sets the home-cloud device count where the bench is
-/// node-count-parametric, `--neighborhoods N` sets the City's neighborhood
-/// count where the bench runs over the federation tier, and
-/// `--net-model global|incremental|analytical` picks the flow-rate solver
-/// for benches that exercise the raw network engine (DESIGN.md §13).
+/// node-count-parametric, and `--neighborhoods N` sets the City's
+/// neighborhood count where the bench runs over the federation tier.
 struct BenchArgs {
   bool quick = false;
   std::uint64_t seed = 42;
   int nodes = 6;
   int neighborhoods = 4;
-  net::NetModel net_model = net::NetModel::global;
 };
 
 /// Parses the shared flags; unknown arguments are ignored so benches with
 /// extra flags (or Google Benchmark's own) can layer their parsing on top.
-inline BenchArgs parse_args(int argc, char** argv, BenchArgs defaults = {}) {
-  BenchArgs a = defaults;
+inline BenchArgs parse_args(int argc, char** argv) {
+  BenchArgs a;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       a.quick = true;
@@ -51,27 +48,9 @@ inline BenchArgs parse_args(int argc, char** argv, BenchArgs defaults = {}) {
     } else if (std::strcmp(argv[i], "--neighborhoods") == 0 && i + 1 < argc) {
       const int n = std::atoi(argv[++i]);
       if (n > 0) a.neighborhoods = n;
-    } else if (std::strcmp(argv[i], "--net-model") == 0 && i + 1 < argc) {
-      const char* m = argv[++i];
-      if (std::strcmp(m, "global") == 0) {
-        a.net_model = net::NetModel::global;
-      } else if (std::strcmp(m, "incremental") == 0) {
-        a.net_model = net::NetModel::incremental;
-      } else if (std::strcmp(m, "analytical") == 0) {
-        a.net_model = net::NetModel::analytical;
-      }
     }
   }
   return a;
-}
-
-inline const char* net_model_name(net::NetModel m) {
-  switch (m) {
-    case net::NetModel::global: return "global";
-    case net::NetModel::incremental: return "incremental";
-    case net::NetModel::analytical: return "analytical";
-  }
-  return "?";
 }
 
 /// Host-side cost timer for scaling tables — the one sanctioned wall-clock

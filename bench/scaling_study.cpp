@@ -115,16 +115,16 @@ void striped_transfers(obs::BenchReport& report, bool quick) {
   std::printf("exceeds it; gains saturate once the access link binds.\n");
 }
 
-// Core-engine scaling — ROADMAP item 1: drives the raw Simulation/Network
-// fast path (slab event arena + incremental fair-share) far past overlay
+// Core-engine scaling: drives the raw Simulation/Network engine (slab event
+// arena, one pending flow event, per-switch route trees) far past overlay
 // scale, where the full HomeCloud stack (O(n²) overlay joins) cannot go.
 //
 // Topology is a two-level star: `kFan` leafs per edge switch, switches on a
 // metro gateway, gateway on the cloud. Every leaf makes one intra-switch
-// transfer to its ring neighbor (small, disjoint fair-share components) and
-// every 16th leaf also pushes an object up the shared cloud path (one wide
-// component over the gateway trunk); starts are staggered so a bounded set
-// of flows is in flight at any instant, like a real evening of @home traffic.
+// transfer to its ring neighbor (small flows on disjoint links) and every
+// 16th leaf also pushes an object up the shared cloud path (flows that share
+// the gateway trunk); starts are staggered so a bounded set of flows is in
+// flight at any instant, like a real evening of @home traffic.
 //
 // The flows/events/bytes/makespan series are simulated and byte-stable for
 // a seed; the wall/rss columns are host-side costs ("-wall" units, advisory
@@ -132,9 +132,8 @@ void striped_transfers(obs::BenchReport& report, bool quick) {
 // the sweep runs sizes in ascending order.
 void core_engine_scaling(obs::BenchReport& report, const bench::BenchArgs& args) {
   bench::header("Scaling — simulator core, raw engine to 10k nodes",
-                "ROADMAP item 1 (engine fast path)");
-  std::printf("net model: %s   (wall/rss are host-side, advisory)\n",
-              bench::net_model_name(args.net_model));
+                "§VII future work (iii), engine only");
+  std::printf("(wall/rss are host-side, advisory)\n");
   std::printf("%8s | %9s %10s | %12s | %10s %9s\n", "nodes", "flows", "events", "makespan(s)",
               "wall (ms)", "rss (MB)");
   bench::row_line();
@@ -161,7 +160,6 @@ void core_engine_scaling(obs::BenchReport& report, const bench::BenchArgs& args)
                       mib_per_sec(11.9), microseconds(200));
     }
     net::Network net{sim, std::move(topo)};
-    net.set_model(args.net_model);
 
     bench::WallTimer wt;
     const auto staggered = [](sim::Simulation& sm, net::Network& nw, net::NetNodeId a,
@@ -200,21 +198,16 @@ void core_engine_scaling(obs::BenchReport& report, const bench::BenchArgs& args)
     report.add(label, "core.wall", wall, "ms-wall");
     report.add(label, "core.rss", rss, "mb-wall");
   }
-  std::printf("\nshape checks: events grow ~linearly in nodes while wall-clock per\n");
-  std::printf("event stays flat (slab arena + component-local fair-share); memory\n");
-  std::printf("is dominated by per-leaf topology state, not the event queue.\n");
+  std::printf("\nshape checks: events grow linearly in nodes; every flow event re-solves\n");
+  std::printf("all flows in flight, so wall-clock per event stays in microseconds;\n");
+  std::printf("memory is dominated by topology and route trees, not the event queue.\n");
 }
 
 }  // namespace
 }  // namespace c4h
 
 int main(int argc, char** argv) {
-  c4h::bench::BenchArgs defaults;
-  // The core sweep exists to exercise the fast path; the overlay/striped
-  // sections never admit flows through `args.net_model`, so this default
-  // does not perturb their (golden) series.
-  defaults.net_model = c4h::net::NetModel::incremental;
-  const auto args = c4h::bench::parse_args(argc, argv, defaults);
+  const auto args = c4h::bench::parse_args(argc, argv);
   c4h::obs::BenchReport report("scaling_study", args.seed);
   c4h::overlay_scaling(report, args.quick);
   c4h::striped_transfers(report, args.quick);

@@ -1,7 +1,6 @@
 #include "src/net/network.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/sim/fault.hpp"
 
@@ -32,7 +31,7 @@ sim::Task<> Network::transfer(NetNodeId src, NetNodeId dst, Bytes size, TcpProfi
 
   const auto& path = topo_.route(src, dst);
   sim::Event done{sim_};
-  add_flow(path, size, profile, [&done] { done.fire(); });
+  add_flow(path, size, profile, done);
   co_await done.wait();
   ++stats_.flows_completed;
   stats_.bytes_delivered += static_cast<double>(size);
@@ -125,66 +124,11 @@ Duration Network::sample_message_latency(NetNodeId src, NetNodeId dst, Bytes siz
   return lat;
 }
 
-void Network::set_model(NetModel m) {
-  assert(flows_.empty() && "set_model must precede flow admission");
-  model_ = m;
-  engine_.reset();
-  if (m == NetModel::incremental) {
-    std::vector<Rate> caps(topo_.link_count());
-    for (LinkId l = 0; l < caps.size(); ++l) caps[l] = topo_.link(l).capacity;
-    engine_ = std::make_unique<FairShareEngine>(std::move(caps));
-  }
-}
-
 void Network::set_link_capacity(LinkId link, Rate capacity) {
   topo_.set_link_capacity(link, capacity);
-  switch (model_) {
-    case NetModel::global:
-      // Flows whose bottleneck this was must slow down (or speed up) from
-      // this instant; recompute() first credits everyone's progress at the
-      // old rates.
-      recompute();
-      break;
-    case NetModel::incremental:
-      engine_->set_link_capacity(link, capacity);
-      // Flow caps derived from this link's nominal rate (the bottleneck
-      // term) change with it; refresh them against freshly credited
-      // progress before the component re-solve.
-      if (link < link_flows_.size()) {
-        for (const std::uint64_t id : link_flows_[link]) {
-          Flow& f = flows_.at(id);
-          advance_flow(f);
-          engine_->set_flow_cap(id, flow_cap(f));
-        }
-      }
-      apply_commit();
-      break;
-    case NetModel::analytical:
-      solve_analytical({link});
-      break;
-  }
-}
-
-Rate Network::link_load(LinkId link) const {
-  Rate r = 0;
-  if (link < link_flows_.size()) {
-    for (const std::uint64_t id : link_flows_[link]) r += flows_.at(id).rate;
-  }
-  return r;
-}
-
-void Network::link_index_add(const Flow& f) {
-  for (const LinkId l : f.links) {
-    if (l >= link_flows_.size()) link_flows_.resize(l + 1);
-    link_flows_[l].push_back(f.id);  // ids are monotone, so this stays sorted
-  }
-}
-
-void Network::link_index_remove(const Flow& f) {
-  for (const LinkId l : f.links) {
-    auto& v = link_flows_[l];
-    v.erase(std::lower_bound(v.begin(), v.end(), f.id));
-  }
+  // Flows whose bottleneck this was must slow down (or speed up) from this
+  // instant; recompute() first credits everyone's progress at the old rates.
+  recompute();
 }
 
 double Network::flow_cap(const Flow& f) const {
@@ -201,16 +145,14 @@ double Network::flow_cap(const Flow& f) const {
          f.profile.phase_fraction(static_cast<Bytes>(f.done)) * f.jitter_mult;
 }
 
-std::uint64_t Network::add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
-                                std::function<void()> on_complete) {
-  const std::uint64_t id = next_flow_id_++;
+void Network::add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
+                       sim::Event& completion) {
   Flow f;
-  f.id = id;
   f.links = links;
   f.total = static_cast<double>(size);
   f.profile = profile;
   f.last_update = sim_.now();
-  f.on_complete = std::move(on_complete);
+  f.completion = &completion;
   // Per-flow WAN variability: one multiplier for the flow's lifetime, drawn
   // from the most variable link on the path. Link capacities are nominal
   // *average* bandwidth; the multiplier models the burst/lull a given flow
@@ -221,32 +163,8 @@ std::uint64_t Network::add_flow(const std::vector<LinkId>& links, Bytes size, Tc
     sigma = std::max(sigma, topo_.link(lid).rate_jitter);
   }
   if (sigma > 0) f.jitter_mult = std::clamp(rng_.lognormal_mean(1.0, sigma), 0.25, 3.0);
-  const auto it = flows_.emplace(id, std::move(f)).first;
-  link_index_add(it->second);
-  switch (model_) {
-    case NetModel::global:
-      recompute();
-      break;
-    case NetModel::incremental:
-      engine_->add_flow(id, it->second.links, flow_cap(it->second));
-      apply_commit();
-      break;
-    case NetModel::analytical:
-      solve_analytical(it->second.links);
-      break;
-  }
-  return id;
-}
-
-void Network::advance_flow(Flow& f) {
-  const TimePoint now = sim_.now();
-  const double elapsed = to_seconds(now - f.last_update);
-  if (elapsed > 0) f.done = std::min(f.total, f.done + elapsed * f.rate);
-  f.last_update = now;
-}
-
-void Network::advance_progress() {
-  for (auto& [id, f] : flows_) advance_flow(f);
+  flows_.emplace(next_flow_id_++, std::move(f));
+  recompute();
 }
 
 Duration Network::time_to_event(const Flow& f) const {
@@ -258,17 +176,17 @@ Duration Network::time_to_event(const Flow& f) const {
 }
 
 void Network::recompute() {
-  advance_progress();
-
-  // Retire completed flows (their completion callbacks may start new
-  // transfers synchronously; those re-enter recompute via add_flow, so
-  // collect callbacks first).
-  std::vector<std::function<void()>> completed;
+  // Credit every flow's progress at the rate it ran since its last update,
+  // then retire the finished ones.
+  const TimePoint now = sim_.now();
+  std::vector<sim::Event*> completed;
   for (auto it = flows_.begin(); it != flows_.end();) {
     Flow& f = it->second;
+    const double elapsed = to_seconds(now - f.last_update);
+    if (elapsed > 0) f.done = std::min(f.total, f.done + elapsed * f.rate);
+    f.last_update = now;
     if (f.total - f.done <= kByteEps) {
-      completed.push_back(std::move(f.on_complete));
-      link_index_remove(f);
+      completed.push_back(f.completion);
       it = flows_.erase(it);
     } else {
       ++it;
@@ -291,108 +209,10 @@ void Network::recompute() {
   sim_.cancel(next_event_);
   if (next != Duration::max()) next_event_ = sim_.schedule(next, [this] { recompute(); });
 
-  for (auto& cb : completed) cb();
-}
-
-// ---- incremental / analytical fast paths -----------------------------------
-//
-// The global model above pays O(total flows) per network event. The fast
-// paths pay O(affected component): each flow schedules its *own* next event
-// (completion or TCP phase boundary) and, when it fires, only the flows
-// whose rates can actually change — those sharing links, transitively for
-// the incremental solver, one hop for the analytical one — are advanced and
-// re-rated. Unaffected flows keep running at their piecewise-constant rates
-// with stale `done`/`last_update`, which advance_flow() settles lazily the
-// next time they are touched.
-
-void Network::reschedule_flow(Flow& f) {
-  sim_.cancel(f.next_event);
-  f.next_event = {};
-  if (f.rate <= 0) return;  // parked until some other event frees capacity
-  const std::uint64_t id = f.id;
-  f.next_event = sim_.schedule(time_to_event(f), [this, id] { on_flow_event(id); });
-}
-
-void Network::apply_commit() {
-  // Affected flows change rate *now*: credit progress at the old rate
-  // first, then adopt the engine's new rate and reschedule. A re-rated flow
-  // may just have crossed a TCP phase boundary whose own event this
-  // reschedule cancels, so its cap is refreshed here and, if it moved,
-  // the component is solved again.
-  for (bool recapped = true; recapped;) {
-    recapped = false;
-    for (const std::uint64_t id : engine_->commit()) {
-      Flow& f = flows_.at(id);
-      advance_flow(f);
-      f.rate = engine_->rate(id);
-      if (const Rate cap = flow_cap(f); cap != engine_->flow_cap(id)) {
-        engine_->set_flow_cap(id, cap);
-        recapped = true;
-      }
-      reschedule_flow(f);
-    }
-  }
-}
-
-Rate Network::rate_analytical(const Flow& f) const {
-  Rate r = flow_cap(f);
-  for (const LinkId l : f.links) {
-    r = std::min(r, topo_.link(l).capacity / static_cast<double>(link_flows_[l].size()));
-  }
-  return r;
-}
-
-void Network::solve_analytical(const std::vector<LinkId>& links) {
-  // One-hop affected set: in the closed form a flow's rate depends only on
-  // its own links' capacities and flow counts, so effects don't propagate
-  // beyond the flows sharing a changed link.
-  std::vector<std::uint64_t> affected;
-  for (const LinkId l : links) {
-    if (l < link_flows_.size()) {
-      affected.insert(affected.end(), link_flows_[l].begin(), link_flows_[l].end());
-    }
-  }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
-  for (const std::uint64_t id : affected) {
-    Flow& f = flows_.at(id);
-    advance_flow(f);
-    f.rate = rate_analytical(f);
-    reschedule_flow(f);
-  }
-}
-
-void Network::on_flow_event(std::uint64_t id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // defensive; cancellation should prevent this
-  Flow& f = it->second;
-  advance_flow(f);
-
-  if (f.total - f.done <= kByteEps) {
-    // Completion: retire first (the callback may start new transfers
-    // synchronously, re-entering add_flow), then re-rate the survivors.
-    link_index_remove(f);
-    std::function<void()> done_cb = std::move(f.on_complete);
-    const std::vector<LinkId> links = std::move(f.links);
-    flows_.erase(it);
-    if (model_ == NetModel::incremental) {
-      engine_->remove_flow(id);
-      apply_commit();
-    } else {
-      solve_analytical(links);
-    }
-    if (done_cb) done_cb();
-    return;
-  }
-
-  // TCP phase boundary: only this flow's cap changed.
-  if (model_ == NetModel::incremental) {
-    engine_->set_flow_cap(id, flow_cap(f));
-    apply_commit();
-  } else {
-    f.rate = rate_analytical(f);
-    reschedule_flow(f);
-  }
+  // Completions fire last. Event::fire only schedules each waiter's
+  // resumption, so nothing re-enters recompute(); firing after the next flow
+  // event is scheduled keeps the queue's (timestamp, seq) order.
+  for (sim::Event* e : completed) e->fire();
 }
 
 }  // namespace c4h::net

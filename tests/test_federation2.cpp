@@ -268,13 +268,13 @@ TEST(GeoFederation, SameSeedRunsAreIdentical) {
   EXPECT_FALSE(a.fed->fingerprint().empty());
 
   // Pinned history guard: the constants below were captured from this exact
-  // seed-11 episode *before* the simulator-core rewrite (slab event arena,
-  // lazy route resolution, incremental fair-share plumbing). Run-to-run
-  // identity (above) would still pass if the engine changed behavior
-  // deterministically; this cross-version pin is what actually proves the
-  // fast-path work preserved the simulated history byte for byte. Update
-  // the constants only for an intended model change, and say why in the
-  // commit.
+  // seed-11 episode *before* the simulator-core rewrites (slab event arena,
+  // lazy route resolution, one pending flow event, shared max-min solver,
+  // per-hub route trees). Run-to-run identity (above) would still pass if
+  // the engine changed behavior deterministically; this cross-version pin
+  // is what actually proves the fast-path work preserved the simulated
+  // history byte for byte. Update the constants only for an intended model
+  // change, and say why in the commit.
   EXPECT_EQ(a.city.sim().now().count(), 6277977401LL);
   EXPECT_EQ(a.fed->stats().fetches[0] + a.fed->stats().fetches[1] + a.fed->stats().fetches[2] +
                 a.fed->stats().fetches[3],
