@@ -1,4 +1,4 @@
-// Scenario: city-scale federation (ROADMAP item 2; DESIGN.md §12) — a
+// Scenario: city-scale federation (DESIGN.md §12) — a
 // metro City of neighborhoods (leaf/spine wide-area core, geo-spread spine
 // latencies), two homes per neighborhood, tenants homed round-robin across
 // neighborhoods fetching each other's published objects through the
@@ -59,7 +59,6 @@ void run(const bench::BenchArgs& args) {
   std::vector<std::unique_ptr<vstore::HomeCloud>> homes;
   for (int h = 0; h < a.neighborhoods; ++h) {
     vstore::NeighborhoodConfig nc;
-    nc.seed = a.seed;
     nc.name = "hood-" + std::to_string(h);
     // Geographic spread: each neighborhood sits farther from the metro
     // core, so inter-neighborhood latency grows with index distance.

@@ -1,20 +1,24 @@
 // Neighborhood security (§VII): "multiple Cloud4Home systems interact to
 // provide effective security services for entire neighborhoods."
 //
-// Three homes run their own surveillance pipelines. When a home's camera
-// flags a suspicious event, it publishes the snapshot to the neighborhood
-// federation; the other homes pull it and run recognition against their
-// own galleries ("have we seen this person?"), raising a neighborhood-wide
-// alert when enough homes confirm.
+// Three homes on one street — a one-neighborhood City — run their own
+// surveillance pipelines. When a home's camera flags a suspicious event, it
+// publishes the snapshot to the city federation; the other homes pull it
+// from the origin home and run recognition against their own galleries
+// ("have we seen this person?"), raising a neighborhood-wide alert when
+// enough homes confirm.
 //
 //   $ ./examples/neighborhood_security
 #include <cstdio>
 
 #include "src/common/stats.hpp"
-#include "src/federation/federation.hpp"
+#include "src/federation/geo_federation.hpp"
 
 using namespace c4h;
+using federation::FetchPath;
+using federation::GeoFederation;
 using sim::Task;
+using vstore::City;
 using vstore::HomeCloud;
 using vstore::HomeCloudConfig;
 using vstore::Neighborhood;
@@ -39,14 +43,15 @@ struct WatchStats {
 }  // namespace
 
 int main() {
-  Neighborhood hood;
+  City city;
+  Neighborhood hood{city, {.name = "maple-st"}};
   std::vector<std::unique_ptr<HomeCloud>> homes;
   for (const char* name : {"maple-st-12", "maple-st-14", "maple-st-16"}) {
     homes.push_back(std::make_unique<HomeCloud>(hood, home_cfg(name)));
   }
   for (auto& h : homes) h->bootstrap();
 
-  federation::Federation fed{hood};
+  GeoFederation fed{city};
 
   // Every home can run detection + recognition on its desktop.
   auto fdet = services::face_detect_profile();
@@ -59,7 +64,7 @@ int main() {
   }
 
   WatchStats stats;
-  hood.run([&](Neighborhood& n) -> Task<> {
+  city.run([&](City& c) -> Task<> {
     for (auto& h : homes) {
       (void)co_await h->desktop().publish_services();
     }
@@ -68,10 +73,10 @@ int main() {
 
     Rng rng{77};
     for (int event = 0; event < 6; ++event) {
-      co_await n.sim().delay(seconds(10));
+      co_await c.sim().delay(seconds(10));
       const std::size_t src = rng.below(homes.size());
       HomeCloud& origin = *homes[src];
-      const auto t0 = n.sim().now();
+      const auto t0 = c.sim().now();
       ++stats.events;
 
       // 1. The origin home captures and screens the snapshot locally.
@@ -111,19 +116,20 @@ int main() {
       }
       stats.confirmations += confirms;
       if (confirms >= 2) ++stats.neighborhood_alerts;
-      stats.end_to_end_s.add(to_seconds(n.sim().now() - t0));
+      stats.end_to_end_s.add(to_seconds(c.sim().now() - t0));
     }
-  }(hood));
+  }(city));
 
   std::printf("neighborhood security — 3 homes on one street, %.0f simulated s\n",
-              to_seconds(hood.sim().now()));
+              to_seconds(city.sim().now()));
   std::printf("  %d events screened; %d neighbour confirmations; %d street-wide alerts\n",
               stats.events, stats.confirmations, stats.neighborhood_alerts);
   std::printf("  event → street-wide decision: mean %.1f s, max %.1f s\n",
               stats.end_to_end_s.mean(), stats.end_to_end_s.max());
   std::printf("  federation: %zu directory entries, %llu cross-home pulls, %.1f MB exchanged\n",
               fed.directory_size(),
-              static_cast<unsigned long long>(fed.stats().cross_home_fetches),
-              fed.stats().bytes_exchanged / (1024.0 * 1024.0));
+              static_cast<unsigned long long>(
+                  fed.stats().fetches[static_cast<std::size_t>(FetchPath::neighborhood)]),
+              fed.stats().bytes_fetched / (1024.0 * 1024.0));
   return 0;
 }

@@ -106,11 +106,11 @@ sim::Task<Result<void>> GeoFederation::publish(HomeCloud& home, VStoreNode& node
   span.attr("object", object_name);
 
   Neighborhood* hood = home.neighborhood();
-  assert(hood != nullptr && hood->city() == &city_ && "home must belong to this city");
+  assert(hood != nullptr && &hood->city() == &city_ && "home must belong to this city");
   const std::size_t my_hood = hood->city_index();
 
   // The home's own metadata layer stays the source of truth; the shard
-  // only indexes (same contract as the flat Federation).
+  // only indexes.
   auto raw = co_await home.kv().get(node.chimera(), Key::from_name(object_name));
   if (!raw.ok()) {
     span.set_error("kv: " + raw.error().message);
@@ -187,7 +187,7 @@ sim::Task<Result<GeoFetch>> GeoFederation::fetch(HomeCloud& home, VStoreNode& no
   GeoFetch out;
 
   Neighborhood* my_hood_p = home.neighborhood();
-  assert(my_hood_p != nullptr && my_hood_p->city() == &city_);
+  assert(my_hood_p != nullptr && &my_hood_p->city() == &city_);
   const std::size_t my_hood = my_hood_p->city_index();
 
   ++stats_.directory_queries;

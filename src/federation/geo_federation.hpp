@@ -1,5 +1,5 @@
 // City-scale object federation: hierarchical directory, geo-aware
-// replication, and churn repair (ROADMAP item 2; paper §VII (v) grown to a
+// replication, and churn repair (DESIGN.md §12; paper §VII (v) grown to a
 // metro deployment).
 //
 // Two routing tiers share the work:
@@ -9,12 +9,12 @@
 //    federation never duplicates that machinery; it only decides *which
 //    home* to ask.
 //
-//  * Between neighborhoods, a partitioned directory replaces the flat
-//    cloud-hosted map of federation.hpp: shard `hash(name) % hoods` lives
-//    at that neighborhood's internet core, so directory traffic pays the
-//    leaf/spine path to the shard's neighborhood instead of a WAN trip to
-//    the datacenter. Every shard is an ordered std::map — iteration order
-//    (repair sweeps, fingerprints) is deterministic by construction.
+//  * Between neighborhoods, a partitioned directory says who holds what:
+//    shard `hash(name) % hoods` lives at that neighborhood's internet core,
+//    so directory traffic pays the leaf/spine path to the shard's
+//    neighborhood instead of a WAN trip to the datacenter. Every shard is
+//    an ordered std::map — iteration order (repair sweeps, fingerprints) is
+//    deterministic by construction.
 //
 // Placement: a published object gets `replication` copies in *distinct
 // neighborhoods*, nearest-first by routed spine latency from the owner

@@ -4,27 +4,19 @@
 // system in which multiple Cloud4Home systems interact to provide effective
 // security services for entire neighborhoods."
 //
-// Two tiers of shared world live here:
+// A City is the world several HomeClouds share: one simulation clock, one
+// network with a leaf/spine wide-area core, and one public cloud (S3 + EC2)
+// hanging off the spine as the datacenter every neighborhood can reach.
 //
-//  * A Neighborhood is the world several HomeClouds share: one simulation
-//    clock, one network (each home's gateway uplinks into an internet core,
-//    with the public cloud attached), one public cloud (S3 + EC2). Homes
-//    remain autonomous — each keeps its own overlay, key-value store,
-//    monitors, and policies — and interact only through the federation
-//    directories (federation.hpp, geo_federation.hpp).
-//
-//  * A City federates many Neighborhoods into a metro-scale deployment:
-//    every neighborhood's internet core becomes a *leaf* that uplinks into a
-//    small set of *spine* switches (a leaf/spine wide-area core), and the
-//    public cloud hangs off the spine as the one datacenter every
-//    neighborhood can reach. A neighborhood's distance to the spine
-//    (`NeighborhoodConfig::spine_latency`) is its geographic position;
-//    inter-neighborhood latency falls out of the routed leaf→spine→leaf
-//    path, so geo-aware policies read locality straight from src/net.
-//
-// A Neighborhood owns its whole world when standalone, or borrows the
-// City's (shared clock, shared topology, shared cloud) when built into one
-// — the same owned/borrowed split HomeCloud uses for Neighborhoods.
+// A Neighborhood is built into a City: its internet core becomes a *leaf*
+// that uplinks into every spine switch, and its homes' gateways uplink into
+// that core. A neighborhood's distance to the spine
+// (`NeighborhoodConfig::spine_latency`) is its geographic position;
+// inter-neighborhood latency falls out of the routed leaf→spine→leaf path,
+// so geo-aware policies read locality straight from src/net. Homes remain
+// autonomous — each keeps its own overlay, key-value store, monitors, and
+// policies — and interact only through the city directory
+// (geo_federation.hpp).
 #pragma once
 
 #include <cassert>
@@ -44,19 +36,15 @@ class HomeCloud;
 class Neighborhood;
 
 struct NeighborhoodConfig {
+  /// Unread: the City's seed drives the shared clock.
   std::uint64_t seed = 42;
 
   /// Display name; distinguishes neighborhoods inside a City.
   std::string name = "hood";
 
-  // Standalone mode — internet core ↔ cloud datacenter: far above any
-  // home's access link.
-  Rate core_cloud_rate = mbps(1000);
-  Duration core_cloud_latency = milliseconds(5);
-
-  // City mode — the leaf↔spine uplinks. `spine_latency` is this
-  // neighborhood's propagation distance to the metro core: the
-  // geo-coordinate the federation's locality policies observe.
+  // The leaf↔spine uplinks. `spine_latency` is this neighborhood's
+  // propagation distance to the metro core: the geo-coordinate the
+  // federation's locality policies observe.
   Rate spine_rate = mbps(400);
   Duration spine_latency = milliseconds(2);
 };
@@ -130,7 +118,7 @@ class City {
     return *ec2_;
   }
 
-  /// Called by the city-mode Neighborhood constructor; returns the
+  /// Called by the Neighborhood constructor; returns the
   /// neighborhood's index (its identity in the federation tiers).
   std::size_t register_neighborhood(Neighborhood* n) {
     hoods_.push_back(n);
@@ -178,95 +166,36 @@ class City {
 
 class Neighborhood {
  public:
-  /// Standalone neighborhood: owns its simulation, topology, and cloud.
-  explicit Neighborhood(NeighborhoodConfig config = {})
-      : config_(std::move(config)),
-        owned_sim_(std::make_unique<sim::Simulation>(config_.seed)),
-        sim_(owned_sim_.get()),
-        owned_topo_(std::make_unique<net::Topology>()) {
-    core_ = owned_topo_->add_node();
-    cloud_ep_ = owned_topo_->add_node();
-    owned_topo_->add_duplex(core_, cloud_ep_, config_.core_cloud_rate,
-                            config_.core_cloud_latency);
-  }
-
-  /// Federated neighborhood: built into a City. The core becomes a leaf of
-  /// the city's spine; clock, topology, and public cloud are the city's.
+  /// Built into `city`: the core becomes a leaf of the city's spine; clock,
+  /// topology, and public cloud are the city's.
   Neighborhood(City& city, NeighborhoodConfig config)
-      : config_(std::move(config)), city_(&city), sim_(&city.sim()) {
+      : config_(std::move(config)), city_(city) {
     net::Topology& topo = city.topology();
     core_ = topo.add_node();
     for (int i = 0; i < city.spine_count(); ++i) {
       topo.add_duplex(core_, city.spine(i), config_.spine_rate, config_.spine_latency);
     }
-    cloud_ep_ = city.cloud_endpoint();
     city_index_ = city.register_neighborhood(this);
   }
 
   Neighborhood(const Neighborhood&) = delete;
   Neighborhood& operator=(const Neighborhood&) = delete;
 
-  sim::Simulation& sim() { return *sim_; }
   net::NetNodeId internet_core() const { return core_; }
-  net::NetNodeId cloud_endpoint() const { return cloud_ep_; }
   const NeighborhoodConfig& config() const { return config_; }
 
-  /// The owning City (nullptr when standalone) and this neighborhood's
-  /// index in it.
-  City* city() const { return city_; }
+  /// The owning City and this neighborhood's index in it.
+  City& city() const { return city_; }
   std::size_t city_index() const { return city_index_; }
-
-  /// Topology is open for wiring until the first bootstrap() finalizes it.
-  net::Topology& topology() {
-    if (city_ != nullptr) return city_->topology();
-    assert(net_ == nullptr && "topology frozen after first bootstrap");
-    return *owned_topo_;
-  }
-
-  /// Creates (on first call) and returns the shared network.
-  net::Network& network() {
-    if (city_ != nullptr) return city_->network();
-    if (net_ == nullptr) {
-      net_ = std::make_unique<net::Network>(*sim_, std::move(*owned_topo_));
-    }
-    return *net_;
-  }
-
-  /// The shared public cloud — the city's when federated.
-  cloud::S3Store& s3(const cloud::CloudTransport& transport) {
-    if (city_ != nullptr) return city_->s3(transport);
-    if (s3_ == nullptr) {
-      s3_ = std::make_unique<cloud::S3Store>(network(), cloud_ep_, transport);
-    }
-    return *s3_;
-  }
-  cloud::Ec2Instance& ec2() {
-    if (city_ != nullptr) return city_->ec2();
-    if (ec2_ == nullptr) {
-      ec2_ = std::make_unique<cloud::Ec2Instance>(*sim_, cloud_ep_,
-                                                  cloud::Ec2Instance::extra_large_spec("ec2-hood"));
-    }
-    return *ec2_;
-  }
 
   void register_home(HomeCloud* home) { homes_.push_back(home); }
   const std::vector<HomeCloud*>& homes() const { return homes_; }
 
-  /// Runs a coroutine to completion on the shared clock.
-  void run(sim::Task<> t) { sim_->run_task(std::move(t)); }
-
  private:
   NeighborhoodConfig config_;
-  City* city_ = nullptr;
+  City& city_;
   std::size_t city_index_ = 0;
-  std::unique_ptr<sim::Simulation> owned_sim_;  // standalone only
-  sim::Simulation* sim_ = nullptr;
-  std::unique_ptr<net::Topology> owned_topo_;   // standalone, pre-finalize
   net::NetNodeId core_;
-  net::NetNodeId cloud_ep_;
-  std::unique_ptr<net::Network> net_;           // standalone only
-  std::unique_ptr<cloud::S3Store> s3_;          // standalone only
-  std::unique_ptr<cloud::Ec2Instance> ec2_;     // standalone only
   std::vector<HomeCloud*> homes_;
 };
 

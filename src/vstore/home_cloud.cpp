@@ -61,13 +61,13 @@ HomeCloud::HomeCloud(HomeCloudConfig config)
 HomeCloud::HomeCloud(Neighborhood& hood, HomeCloudConfig config)
     : config_(std::move(config)),
       hood_(&hood),
-      sim_(&hood.sim()),
-      topo_build_(&hood.topology()) {
-  // Federated world: the home's gateway uplinks into the shared internet
-  // core; the cloud endpoint is the neighborhood's.
+      sim_(&hood.city().sim()),
+      topo_build_(&hood.city().topology()) {
+  // Federated world: the home's gateway uplinks into the neighborhood's
+  // internet core; the cloud endpoint is the city's.
   switch_node_ = topo_build_->add_node();
   gateway_wan_ = topo_build_->add_node();
-  cloud_ep_ = hood.cloud_endpoint();
+  cloud_ep_ = hood.city().cloud_endpoint();
   topo_build_->add_duplex(switch_node_, gateway_wan_, config_.lan_rate, config_.lan_latency);
   wan_up_link_ = topo_build_->add_link(gateway_wan_, hood.internet_core(), config_.wan_up,
                                        config_.wan_latency, config_.wan_latency_jitter,
@@ -111,9 +111,10 @@ void HomeCloud::bootstrap() {
         *sim_, cloud_ep_, cloud::Ec2Instance::extra_large_spec());
     ec2_ = owned_ec2_.get();
   } else {
-    net_ = &hood_->network();  // finalizes the shared topology on first call
-    s3_ = &hood_->s3(config_.transport);
-    ec2_ = &hood_->ec2();
+    City& city = hood_->city();
+    net_ = &city.network();  // finalizes the shared topology on first call
+    s3_ = &city.s3(config_.transport);
+    ec2_ = &city.ec2();
   }
 
   overlay_ = std::make_unique<overlay::Overlay>(*sim_, *net_, config_.overlay);
@@ -121,7 +122,7 @@ void HomeCloud::bootstrap() {
   registry_ = std::make_unique<services::ServiceRegistry>(*kv_);
 
   // Mirror layer activity into this home's registry. The network is only
-  // wired when this home owns it: in a Neighborhood the net is shared and a
+  // wired when this home owns it: in a City the net is shared and a
   // per-home registry would misattribute the other homes' traffic.
   kv_->set_metrics(&metrics_);
   if (hood_ == nullptr) net_->set_metrics(&metrics_);

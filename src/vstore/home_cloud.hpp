@@ -6,9 +6,10 @@
 // VStore++ on every node).
 //
 // A HomeCloud normally owns its whole world (simulation, network, public
-// cloud). It can instead be built *into a Neighborhood* — a shared world
-// where several homes uplink into one internet core and share the public
-// cloud — to model collaborating Cloud4Home infrastructures (§VII (v)).
+// cloud). It can instead be built *into a Neighborhood of a City* — a
+// shared world where several homes uplink into their neighborhood's
+// internet core and share the City's clock, network and public cloud — to
+// model collaborating Cloud4Home infrastructures (§VII (v)).
 #pragma once
 
 #include <memory>
@@ -93,9 +94,9 @@ class HomeCloud {
   /// Standalone home: owns its simulation, network, and public cloud.
   explicit HomeCloud(HomeCloudConfig config = {});
 
-  /// Federated home: built into a shared Neighborhood world. The home's
-  /// gateway uplinks to the neighborhood's internet core; S3/EC2 are the
-  /// neighborhood's shared cloud.
+  /// Federated home: built into a Neighborhood of a City. The home's
+  /// gateway uplinks to the neighborhood's internet core; clock, network
+  /// and S3/EC2 are the City's.
   HomeCloud(Neighborhood& hood, HomeCloudConfig config);
 
   ~HomeCloud();
@@ -211,7 +212,7 @@ class HomeCloud {
   std::unique_ptr<obs::Tracer> tracer_;  // constructed once sim_ is known
   obs::Registry metrics_;
 
-  // World: owned when standalone, borrowed from the Neighborhood otherwise.
+  // World: owned when standalone, borrowed from the hood's City otherwise.
   Neighborhood* hood_ = nullptr;
   std::unique_ptr<sim::Simulation> owned_sim_;
   sim::Simulation* sim_ = nullptr;

@@ -1,4 +1,4 @@
-// Workload replay over the city federation (ROADMAP item 2 meets item 3):
+// Workload replay over the city federation (DESIGN.md §12 meets §11):
 // tenants are spread across every home in every neighborhood, stores
 // publish into the GeoFederation directory, and fetches go through its
 // geo-aware replica selection — so a tenant whose `fetch_from` peers live

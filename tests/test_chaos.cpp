@@ -622,7 +622,7 @@ TEST_P(AdaptiveChaosSoak, LearnedPolicySurvivesFlapsAndReconvergesHome) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveChaosSoak, ::testing::Values(9101, 9102, 9103));
 
 // ---------------------------------------------------------------------------
-// Federation soak: a City (3 neighborhoods × 2 homes × 3 nodes) under
+// GeoFederation soak: a City (3 neighborhoods × 2 homes × 3 nodes) under
 // crash/restart churn, with published objects replicated at degree 2 across
 // neighborhoods and a periodic repair sweep. The reachability invariant:
 // a fetch may only fail while an object has NO live replica — any failure
@@ -650,7 +650,6 @@ FederationChaosResult run_federation_chaos(std::uint64_t seed) {
   std::vector<std::unique_ptr<HomeCloud>> homes;
   for (int h = 0; h < 3; ++h) {
     NeighborhoodConfig nc;
-    nc.seed = seed;
     nc.name = "hood-" + std::to_string(h);
     nc.spine_latency = milliseconds(1 + 3 * h);
     hoods.push_back(std::make_unique<Neighborhood>(city, nc));
