@@ -33,14 +33,27 @@ using wire_int_t = std::make_unsigned_t<
 class Writer {
  public:
   Writer() = default;
+  /// Reserves `capacity` bytes, so a caller that knows (or bounds) its
+  /// encoded size allocates once.
+  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
 
   template <typename T>
     requires std::is_integral_v<T> || std::is_enum_v<T>
   void write(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(serial_detail::wire_int_t<T>));
+    write_at(at, v);
+  }
+
+  /// Overwrites the fixed-width integer already written at byte offset `at`,
+  /// e.g. a length header that is known only once the body is written.
+  template <typename T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+  void write_at(std::size_t at, T v) {
     using U = serial_detail::wire_int_t<T>;
     auto u = static_cast<U>(v);
     for (std::size_t i = 0; i < sizeof(U); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
+      buf_[at + i] = static_cast<std::uint8_t>(u >> (8 * i));
     }
   }
 

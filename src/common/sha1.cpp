@@ -19,38 +19,34 @@ void Sha1::reset() {
 }
 
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  // Rolling message schedule: w[i & 15] holds W[i] for the 16 rounds that
+  // still read it (W[i] depends on W[i-3], W[i-8], W[i-14] and W[i-16]).
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[i * 4]} << 24) | (std::uint32_t{block[i * 4 + 1]} << 16) |
            (std::uint32_t{block[i * 4 + 2]} << 8) | std::uint32_t{block[i * 4 + 3]};
   }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
+  auto next_w = [&w](int i) {
+    if (i >= 16) {
+      w[i & 15] = rotl(w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15], 1);
+    }
+    return w[i & 15];
+  };
 
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
+  auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
+    const std::uint32_t tmp = rotl(a, 5) + f + e + k + wi;
     e = d;
     d = c;
     c = rotl(b, 30);
     b = a;
     a = tmp;
-  }
+  };
+  int i = 0;
+  for (; i < 20; ++i) round((b & c) | (~b & d), 0x5A827999u, next_w(i));
+  for (; i < 40; ++i) round(b ^ c ^ d, 0x6ED9EBA1u, next_w(i));
+  for (; i < 60; ++i) round((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, next_w(i));
+  for (; i < 80; ++i) round(b ^ c ^ d, 0xCA62C1D6u, next_w(i));
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;
@@ -75,14 +71,20 @@ void Sha1::update(const void* data, std::size_t len) {
 }
 
 Sha1::Digest Sha1::finish() {
-  const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bits >> (56 - i * 8));
-  update(len_be, 8);
+  // Pad in place: 0x80, zeros up to byte 56 of a block, then the message
+  // length in bits, big-endian. A tail past byte 55 spills into a second block.
+  constexpr std::size_t kLengthAt = 56;
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > kLengthAt) {
+    std::memset(buf_.data() + buf_len_, 0, buf_.size() - buf_len_);
+    process_block(buf_.data());
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, kLengthAt - buf_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buf_[kLengthAt + i] = static_cast<std::uint8_t>(total_bits_ >> (56 - i * 8));
+  }
+  process_block(buf_.data());
 
   Digest out;
   for (int i = 0; i < 5; ++i) {

@@ -3,7 +3,7 @@
 namespace c4h::mon {
 
 Buffer ResourceRecord::serialize() const {
-  Writer w;
+  Writer w{8 * sizeof(std::uint64_t) + 1};  // eight 8-byte fields and a flag
   w.write(node.raw());
   w.write(cpu_load);
   w.write(free_memory);

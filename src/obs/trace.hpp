@@ -12,11 +12,16 @@
 // parent span id) with a null default. A null context makes every recording
 // call a no-op, so untraced hot paths pay only a pointer test — there is no
 // ambient thread-local "current span", which would misattribute children
-// when coroutines interleave at suspension points.
+// when coroutines interleave at suspension points. `ScopedSpan` takes its
+// name, attribute keys and values, and error notes as `std::string_view`
+// and builds strings (and formats numbers) only when a tracer is attached,
+// so an untraced span allocates nothing. The views are read before the call
+// returns; a temporary such as `std::string("op.") + kind` is fine.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -117,10 +122,10 @@ struct Ctx {
 class ScopedSpan {
  public:
   ScopedSpan() = default;
-  ScopedSpan(Ctx ctx, std::string name) {
+  ScopedSpan(Ctx ctx, std::string_view name) {
     if (ctx.on()) {
       tracer_ = ctx.tracer;
-      id_ = tracer_->begin(std::move(name), ctx.parent);
+      id_ = tracer_->begin(std::string(name), ctx.parent);
     }
   }
 
@@ -145,17 +150,17 @@ class ScopedSpan {
   /// Context for child spans of this one.
   Ctx ctx() const { return tracer_ != nullptr ? Ctx{tracer_, id_} : Ctx{}; }
 
-  void attr(std::string key, std::string value) {
-    if (tracer_ != nullptr) tracer_->attr(id_, std::move(key), std::move(value));
+  void attr(std::string_view key, std::string_view value) {
+    if (tracer_ != nullptr) tracer_->attr(id_, std::string(key), std::string(value));
   }
-  void attr(std::string key, std::uint64_t value) {
-    attr(std::move(key), std::to_string(value));
+  void attr(std::string_view key, std::uint64_t value) {
+    if (tracer_ != nullptr) tracer_->attr(id_, std::string(key), std::to_string(value));
   }
 
   /// Marks the span failed; recorded when the span ends.
-  void set_error(std::string note) {
+  void set_error(std::string_view note) {
     status_ = SpanStatus::error;
-    note_ = std::move(note);
+    if (tracer_ != nullptr) note_ = note;
   }
 
   void end() {

@@ -72,7 +72,7 @@ class ServiceRegistry {
 
  private:
   static Buffer encode_nodes(const std::vector<Key>& nodes) {
-    Writer w;
+    Writer w{sizeof(std::uint32_t) + nodes.size() * sizeof(std::uint64_t)};
     w.write_vector(nodes, [](Writer& ww, Key k) { ww.write(k.raw()); });
     return std::move(w).take();
   }

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 
 #include "src/common/rng.hpp"
 #include "src/common/units.hpp"
@@ -46,11 +45,13 @@ class Simulation {
   Simulation& operator=(const Simulation&) = delete;
 
   ~Simulation() {
-    // Destroy still-suspended detached coroutines so their frames (and any
-    // RAII state inside) are released.
-    // c4h-lint: allow(R3) — teardown only; destruction order is unobservable.
-    for (void* frame : detached_) {
-      std::coroutine_handle<>::from_address(frame).destroy();
+    // Destroy still-suspended detached coroutines, in spawn order, so their
+    // frames (and any RAII state inside) are released.
+    for (detail::PromiseBase* p = detached_head_; p != nullptr;) {
+      detail::PromiseBase* next = p->next_detached;
+      auto& promise = static_cast<Task<>::promise_type&>(*p);  // spawn() takes Task<>
+      std::coroutine_handle<Task<>::promise_type>::from_promise(promise).destroy();
+      p = next;
     }
   }
 
@@ -66,7 +67,7 @@ class Simulation {
 
   /// Diagnostics for leak checks: live detached coroutine frames and
   /// pending (uncancelled) events.
-  std::size_t detached_count() const { return detached_.size(); }
+  std::size_t detached_count() const { return detached_count_; }
   std::size_t pending_event_count() const { return events_.live_count(); }
 
   /// Queue entries including cancellation tombstones; bounded at a constant
@@ -118,9 +119,12 @@ class Simulation {
   /// time (after already-queued events at this time).
   void spawn(Task<> task) {
     auto h = task.release();
-    h.promise().detached = true;
-    h.promise().owner = this;
-    detached_.insert(h.address());
+    detail::PromiseBase& p = h.promise();
+    p.owner = this;
+    p.prev_detached = detached_tail_;
+    (detached_tail_ != nullptr ? detached_tail_->next_detached : detached_head_) = &p;
+    detached_tail_ = &p;
+    ++detached_count_;
     schedule(Duration::zero(), [h] { h.resume(); });
   }
 
@@ -151,7 +155,7 @@ class Simulation {
   }
 
  private:
-  friend void detail::deregister_detached(Simulation& sim, void* frame) noexcept;
+  friend void detail::deregister_detached(Simulation& sim, detail::PromiseBase& p) noexcept;
 
   static Task<> detail_mark_done(Task<> inner, std::shared_ptr<bool> done) {
     co_await inner;
@@ -161,7 +165,10 @@ class Simulation {
   TimePoint now_{0};
   EventArena events_;
   std::uint64_t events_executed_ = 0;
-  std::unordered_set<void*> detached_;
+  // Live detached frames, linked through their promises in spawn order.
+  detail::PromiseBase* detached_head_ = nullptr;
+  detail::PromiseBase* detached_tail_ = nullptr;
+  std::size_t detached_count_ = 0;
   Rng rng_;
   // shared_ptr so the (forward-declared) plan can be owned here without
   // simulation.hpp depending on fault.hpp.
@@ -169,8 +176,12 @@ class Simulation {
 };
 
 namespace detail {
-inline void deregister_detached(Simulation& sim, void* frame) noexcept {
-  sim.detached_.erase(frame);
+inline void deregister_detached(Simulation& sim, PromiseBase& p) noexcept {
+  (p.prev_detached != nullptr ? p.prev_detached->next_detached : sim.detached_head_) =
+      p.next_detached;
+  (p.next_detached != nullptr ? p.next_detached->prev_detached : sim.detached_tail_) =
+      p.prev_detached;
+  --sim.detached_count_;
 }
 }  // namespace detail
 

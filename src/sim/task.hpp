@@ -7,13 +7,19 @@
 //
 // Single-threaded by design: the whole simulation runs on one thread, so no
 // atomics or locks are needed (and determinism is guaranteed).
+//
+// Frames come from the size-class free lists of frame_pool.hpp through the
+// promise's operator new / sized operator delete.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
+
+#include "src/sim/frame_pool.hpp"
 
 namespace c4h::sim {
 
@@ -24,8 +30,16 @@ namespace detail {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
-  bool detached = false;
-  Simulation* owner = nullptr;  // set for detached tasks, for registry cleanup
+  // Set by Simulation::spawn: a detached task is linked into its owner's
+  // list of live detached frames (in spawn order) until it completes.
+  Simulation* owner = nullptr;
+  PromiseBase* prev_detached = nullptr;
+  PromiseBase* next_detached = nullptr;
+
+  static void* operator new(std::size_t n) { return frame_pool.allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept { frame_pool.release(p, n); }
+
+  bool detached() const { return owner != nullptr; }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -39,7 +53,7 @@ struct PromiseBase {
   FinalAwaiter final_suspend() noexcept { return {}; }
 
   void unhandled_exception() {
-    if (detached) {
+    if (detached()) {
       // A detached simulated process must not leak exceptions: let it
       // propagate out of the event loop so tests fail loudly.
       throw;
@@ -48,14 +62,14 @@ struct PromiseBase {
   }
 };
 
-void deregister_detached(Simulation& sim, void* frame) noexcept;
+void deregister_detached(Simulation& sim, PromiseBase& p) noexcept;
 
 template <typename Promise>
 std::coroutine_handle<> PromiseBase::FinalAwaiter::await_suspend(
     std::coroutine_handle<Promise> h) noexcept {
   auto& p = h.promise();
-  if (p.detached) {
-    if (p.owner != nullptr) deregister_detached(*p.owner, h.address());
+  if (p.detached()) {
+    deregister_detached(*p.owner, p);
     h.destroy();
     return std::noop_coroutine();
   }

@@ -30,19 +30,21 @@ struct CommandPacket {
   std::uint64_t shm_ref = 0;  // grant-table reference for the data channel
   std::string data;           // command-specific payload (e.g. object name)
 
+  /// Length header, then the body: type, service id, domain id, shm ref and
+  /// the length-prefixed data. One buffer; the header is patched once the
+  /// body's size is known.
   Buffer serialize() const {
-    Writer body;
-    body.write(type);
-    body.write(service_id);
-    body.write(domain_id);
-    body.write(shm_ref);
-    body.write(data);
-    Writer w;
-    w.write(static_cast<std::uint32_t>(body.size()));  // packet length header
-    Buffer out = std::move(w).take();
-    const Buffer& b = body.buffer();
-    out.insert(out.end(), b.begin(), b.end());
-    return out;
+    constexpr std::size_t kHeader = sizeof(std::uint32_t);
+    constexpr std::size_t kFixedBody = 1 + 4 + 4 + 8 + 4;
+    Writer w{kHeader + kFixedBody + data.size()};
+    w.write(std::uint32_t{0});
+    w.write(type);
+    w.write(service_id);
+    w.write(domain_id);
+    w.write(shm_ref);
+    w.write(data);
+    w.write_at(0, static_cast<std::uint32_t>(w.size() - kHeader));
+    return std::move(w).take();
   }
 
   static Result<CommandPacket> deserialize(const Buffer& buf) {

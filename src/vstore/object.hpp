@@ -50,7 +50,9 @@ struct ObjectRecord {
   ObjectLocation location;
 
   Buffer serialize() const {
-    Writer w;
+    // Fixed fields plus the strings: one allocation unless tags or ACL
+    // rules overflow it.
+    Writer w{64 + meta.name.size() + meta.type.size() + meta.owner.size() + location.url.size()};
     w.write(meta.name);
     w.write(meta.type);
     w.write(meta.size);

@@ -233,9 +233,10 @@ sim::Task<Result<StoreOutcome>> VStoreNode::store_object(const std::string& name
   auto finish = [](VStoreNode& self, ObjectMeta m, StoreOptions o, StoreOutcome partial,
                    TimePoint start, obs::Ctx ctx) -> sim::Task<Result<StoreOutcome>> {
     auto& s = self.cloud_.sim();
+    const Key key = m.key();
     // Overwriting an existing owned object requires write rights.
     {
-      auto existing = co_await self.cloud_.kv().get(self.chimera_, m.key(), ctx);
+      auto existing = co_await self.cloud_.kv().get(self.chimera_, key, ctx);
       if (existing.ok()) {
         auto prev = ObjectRecord::deserialize(*existing);
         if (prev.ok()) {
@@ -250,7 +251,7 @@ sim::Task<Result<StoreOutcome>> VStoreNode::store_object(const std::string& name
 
     const TimePoint m0 = s.now();
     ObjectRecord rec{m, *loc};
-    auto put = co_await self.cloud_.kv().put(self.chimera_, m.key(), rec.serialize(),
+    auto put = co_await self.cloud_.kv().put(self.chimera_, key, rec.serialize(),
                                              kv::OverwritePolicy::overwrite, ctx);
     if (!put.ok()) co_return put.error();
     partial.metadata = s.now() - m0;
@@ -436,11 +437,6 @@ namespace {
 vmm::Domain& site_domain(HomeCloud& hc, const ExecSite& site) {
   if (site.kind == ExecSite::Kind::ec2) return hc.ec2().domain();
   return hc.node_by_key(site.node)->app_domain();
-}
-
-double site_load(HomeCloud& hc, const ExecSite& site) {
-  if (site.kind == ExecSite::Kind::ec2) return hc.ec2().host().cpu_utilization();
-  return hc.node_by_key(site.node)->host().cpu_utilization();
 }
 
 }  // namespace

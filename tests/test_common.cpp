@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "src/common/key.hpp"
 #include "src/common/result.hpp"
@@ -66,6 +67,27 @@ TEST(Sha1, BlockBoundarySizes) {
     b.update(s.substr(0, n / 2));
     b.update(s.substr(n / 2));
     EXPECT_EQ(hex(a.finish()), hex(b.finish())) << "n=" << n;
+  }
+}
+
+TEST(Sha1, KnownAnswersAtPaddingEdges) {
+  // Digests of n 'x' bytes from an independent implementation (Python's
+  // hashlib): padding that fits one block (55), spills into a second (56,
+  // 57, 63), and starts on a block boundary (64, 128).
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "cef734ba81a024479e09eb5a75b6ddae62e6abf1"},
+      {56, "901305367c259952f4e7af8323f480d59f81335b"},
+      {57, "025ecbd5d70f8fb3c5457cd96bab13fda305dc59"},
+      {63, "0ddc4e0cccd9a12850deb5abb0853a4425559fec"},
+      {64, "bb2fa3ee7afb9f54c6dfb5d021f14b1ffe40c163"},
+      {65, "78c741ddc482e4cdf8c474a0876347a0905b6233"},
+      {119, "4300320394f7ee239bcdce7d3b8bcee173a0cd5c"},
+      {120, "ceb2821639c4b6dcb10bce0e522ca2e608ce056d"},
+      {127, "e463484d274607e1897d4099497cbf2aedcf8206"},
+      {128, "150fa3fbdc899bd0b8f95a9fb6027f564d953762"},
+  };
+  for (const auto& [n, digest] : cases) {
+    EXPECT_EQ(hex(Sha1::hash(std::string(n, 'x'))), digest) << "n=" << n;
   }
 }
 

@@ -52,7 +52,9 @@ TEST(ObjectFs, RemoveDuringTransferDoesNotDisturbInFlightRead) {
     }(fs));
     auto r = co_await fs.read("victim.bin");
     EXPECT_TRUE(r.ok());
-    if (r.ok()) EXPECT_EQ(*r, 4_MB);
+    if (r.ok()) {
+      EXPECT_EQ(*r, 4_MB);
+    }
     EXPECT_FALSE(fs.contains("victim.bin"));
   });
 }

@@ -80,7 +80,9 @@ TEST(RbTree, AscendingInsertStaysBalanced) {
   RbTree<int, int> t;
   for (int k = 0; k < 4096; ++k) {
     t.insert(k, k);
-    if (k % 256 == 0) EXPECT_GE(t.validate(), 0) << "at " << k;
+    if (k % 256 == 0) {
+      EXPECT_GE(t.validate(), 0) << "at " << k;
+    }
   }
   // Black height of a balanced tree with 4096 nodes is small.
   const int bh = t.validate();

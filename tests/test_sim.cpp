@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -257,6 +259,31 @@ TEST(Simulation, DestructorCleansUpSuspendedDetachedTasks) {
   SUCCEED();
 }
 
+TEST(Simulation, TeardownDestroysParkedTasksInSpawnOrder) {
+  // Live detached frames are linked through their promises in spawn order: a
+  // task that completes is unlinked from the middle, and the destructor
+  // destroys the parked rest first to last.
+  struct Guard {
+    std::vector<int>& log;
+    int id;
+    ~Guard() { log.push_back(id); }
+  };
+  std::vector<int> destroyed;
+  auto sim = std::make_unique<Simulation>();
+  Event never{*sim};
+  for (int i = 0; i < 4; ++i) {
+    sim->spawn([](Event& e, std::vector<int>& log, int id) -> Task<> {
+      Guard g{log, id};
+      if (id != 1) co_await e.wait();
+    }(never, destroyed, i));
+  }
+  sim->run();
+  EXPECT_EQ(sim->detached_count(), 3u);
+  EXPECT_EQ(destroyed, (std::vector<int>{1}));
+  sim.reset();
+  EXPECT_EQ(destroyed, (std::vector<int>{1, 0, 2, 3}));
+}
+
 TEST(Simulation, RunTaskSurvivesTaskThatOutlivesTheCall) {
   // run_task's completion flag must be co-owned by the marker frame: when the
   // driven task parks on an event that never fires, the queue drains and
@@ -452,6 +479,67 @@ TEST(EventArena, EventsExecutedCounts) {
   sim.cancel(gone);
   sim.run();
   EXPECT_EQ(sim.events_executed(), 7u);  // cancelled events never count
+}
+
+// ---- coroutine frame pool (frame_pool.hpp) ---------------------------------
+
+/// Stores the address of the frame that awaits it, then continues at once.
+struct FrameAddress {
+  void*& out;
+  bool await_ready() { return false; }
+  bool await_suspend(std::coroutine_handle<> h) {
+    out = h.address();
+    return false;
+  }
+  void await_resume() {}
+};
+
+Task<> note_frame(void*& out) {
+  co_await FrameAddress{out};
+  co_return;
+}
+
+Task<> note_large_frame(void*& out) {
+  std::array<char, 1024> held{};  // lives across the await, so it is in the frame
+  co_await FrameAddress{out};
+  held[0] = 1;
+  co_return;
+}
+
+/// Spawns `task`, runs it to completion (its frame is destroyed at the end).
+void run_detached(Task<> task) {
+  Simulation sim;
+  sim.spawn(std::move(task));
+  sim.run();
+  EXPECT_EQ(sim.detached_count(), 0u);
+}
+
+TEST(FramePool, DestroyedFrameIsReusedByTheNextFrameOfItsClass) {
+  void* first = nullptr;
+  void* second = nullptr;
+  void* large = nullptr;
+  void* third = nullptr;
+  run_detached(note_frame(first));
+  run_detached(note_frame(second));
+  run_detached(note_large_frame(large));
+  run_detached(note_frame(third));
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(second, first);  // the freed block heads its class's list
+  EXPECT_NE(large, first);   // another size class never takes it
+  EXPECT_EQ(third, first);
+}
+
+TEST(FramePool, ReadingAReleasedFrameIsUseAfterPoison) {
+  // The pool never frees a block to the heap, so only its own poisoning lets
+  // ASan catch a use of a destroyed frame.
+#if defined(__SANITIZE_ADDRESS__)
+  void* frame = nullptr;
+  run_detached(note_frame(frame));
+  ASSERT_NE(frame, nullptr);
+  EXPECT_DEATH((void)*static_cast<volatile char*>(frame), "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 }  // namespace

@@ -46,6 +46,20 @@ TEST(Command, TypicalPacketIsUnder50Bytes) {
   EXPECT_LT(p.wire_size(), 50u);
 }
 
+TEST(Command, WireBytesArePinned) {
+  // Little-endian length header (23), then type, service id, domain id, shm
+  // ref and the length-prefixed data.
+  CommandPacket p;
+  p.type = CommandType::store_object;
+  p.service_id = 7;
+  p.domain_id = 3;
+  p.shm_ref = 0xDEADBEEF;
+  p.data = "ab";
+  const Buffer expected{23, 0, 0, 0, 2, 7, 0, 0, 0, 3, 0, 0, 0, 0xEF, 0xBE, 0xAD,
+                        0xDE, 0, 0, 0, 0, 2, 0, 0, 0, 'a', 'b'};
+  EXPECT_EQ(p.serialize(), expected);
+}
+
 TEST(Command, LengthHeaderMismatchRejected) {
   CommandPacket p;
   p.data = "x";

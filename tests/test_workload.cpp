@@ -133,7 +133,9 @@ TEST(Generate, FetchableSetSpansOwnAndSharedCatalogs) {
   std::vector<bool> allowed(s.objects.size(), false);
   for (const std::uint32_t i : sets[1]) allowed[i] = true;
   for (const ScheduledOp& op : s.ops) {
-    if (op.tenant == 1 && op.kind == OpKind::fetch) EXPECT_TRUE(allowed[op.object]);
+    if (op.tenant == 1 && op.kind == OpKind::fetch) {
+      EXPECT_TRUE(allowed[op.object]);
+    }
   }
 }
 
