@@ -16,9 +16,9 @@ KvStore::KvStore(overlay::Overlay& overlay, KvConfig config)
   overlay_.set_failure_hook([this](Key dead) { return repair_after_failure(dead); });
 }
 
-Bytes KvStore::value_bytes(const std::vector<Buffer>& versions) const {
+Bytes KvStore::value_bytes(const Versions& versions) const {
   Bytes b = config_.message_overhead;
-  for (const auto& v : versions) b += v.size();
+  for (const auto& v : *versions) b += v.size();
   return b;
 }
 
@@ -113,25 +113,22 @@ sim::Task<Result<void>> KvStore::put_attempt(ChimeraNode& origin, Key key, const
   co_await sim.delay(config_.local_access);
 
   NodeStore& store = stores_[owner->id()];
-  auto it = store.primary.find(key);
-  switch (policy) {
-    case OverwritePolicy::error:
-      if (it != store.primary.end()) {
-        if (owner != &origin) {
-          co_await net.send_message(owner->net_node(), origin.net_node(), 50, ctx);
-        }
-        co_return Error{Errc::already_exists, "key exists and policy is error"};
-      }
-      store.primary[key].versions = {value};
-      break;
-    case OverwritePolicy::overwrite:
-      store.primary[key].versions = {value};
-      break;
-    case OverwritePolicy::chain:
-      store.primary[key].versions.push_back(value);
-      break;
+  if (policy == OverwritePolicy::error && store.primary.contains(key)) {
+    if (owner != &origin) {
+      co_await net.send_message(owner->net_node(), origin.net_node(), 50, ctx);
+    }
+    co_return Error{Errc::already_exists, "key exists and policy is error"};
   }
-  ++store.primary[key].seq;
+  Entry& entry = store.primary[key];
+  auto next = std::make_shared<std::vector<Buffer>>();
+  if (policy == OverwritePolicy::chain && entry.versions != nullptr) {
+    // Copy-on-write: replicas and caches may still share the old list.
+    next->reserve(entry.versions->size() + 1);
+    next->assign(entry.versions->begin(), entry.versions->end());
+  }
+  next->push_back(value);
+  entry.versions = std::move(next);
+  ++entry.seq;
 
   // Caches are updated before the ack ("whenever a key-value entry is
   // modified, the corresponding caches are also updated"), keeping reads
@@ -162,8 +159,21 @@ sim::Task<Result<void>> KvStore::put_attempt(ChimeraNode& origin, Key key, const
   co_return Result<void>{};
 }
 
+sim::Task<Result<Buffer>> KvStore::get(ChimeraNode& origin, Key key, obs::Ctx ctx) {
+  auto found = co_await lookup(origin, key, ctx);
+  if (!found.ok()) co_return found.error();
+  if ((*found)->empty()) co_return Error{Errc::not_found, "empty entry"};
+  co_return (*found)->back();
+}
+
 sim::Task<Result<std::vector<Buffer>>> KvStore::get_all(ChimeraNode& origin, Key key,
                                                         obs::Ctx ctx) {
+  auto found = co_await lookup(origin, key, ctx);
+  if (!found.ok()) co_return found.error();
+  co_return std::vector<Buffer>(**found);
+}
+
+sim::Task<Result<KvStore::Versions>> KvStore::lookup(ChimeraNode& origin, Key key, obs::Ctx ctx) {
   ++stats_.gets;
   if (m_gets_ != nullptr) m_gets_->add();
   auto& sim = overlay_.simulation();
@@ -210,7 +220,7 @@ sim::Task<Result<std::vector<Buffer>>> KvStore::get_all(ChimeraNode& origin, Key
   }
 
   sp.attr("source", "routed");
-  Result<std::vector<Buffer>> res = Error{Errc::unavailable, "not attempted"};
+  Result<Versions> res = Error{Errc::unavailable, "not attempted"};
   for (int attempt = 1;; ++attempt) {
     res = co_await get_routed(origin, key, sp.ctx());
     if (res.ok() || !RetryPolicy::transient(res.code())) break;
@@ -229,8 +239,8 @@ sim::Task<Result<std::vector<Buffer>>> KvStore::get_all(ChimeraNode& origin, Key
   co_return res;
 }
 
-sim::Task<Result<std::vector<Buffer>>> KvStore::get_routed(ChimeraNode& origin, Key key,
-                                                           obs::Ctx ctx) {
+sim::Task<Result<KvStore::Versions>> KvStore::get_routed(ChimeraNode& origin, Key key,
+                                                        obs::Ctx ctx) {
   auto& sim = overlay_.simulation();
   auto& net = overlay_.network();
 
@@ -247,22 +257,39 @@ sim::Task<Result<std::vector<Buffer>>> KvStore::get_routed(ChimeraNode& origin, 
   ChimeraNode* holder = overlay_.node_by_key(routed->owner);
   if (holder == nullptr || !holder->online()) co_return Error{Errc::unavailable, "holder offline"};
 
-  NodeStore& hs = stores_[holder->id()];
-  std::vector<Buffer>* versions = nullptr;
-  bool from_primary = false;
-  if (auto pit = hs.primary.find(key); pit != hs.primary.end()) {
-    versions = &pit->second.versions;
-    from_primary = true;
-  } else if (auto rit = hs.replica.find(key); rit != hs.replica.end()) {
-    versions = &rit->second.versions;  // owner changed after a failure; replica serves
-  } else if (config_.path_caching) {
-    if (auto cit = hs.cache.find(key); cit != hs.cache.end()) {
-      versions = &cit->second;
+  // Which of the holder's tables serves: the authoritative copy, a replica
+  // (the owner changed after a failure), or a path cache.
+  enum class Table : std::uint8_t { none, primary, replica, cache };
+  Table table = Table::none;
+  {
+    const NodeStore& hs = stores_[holder->id()];
+    if (hs.primary.contains(key)) {
+      table = Table::primary;
+    } else if (hs.replica.contains(key)) {
+      table = Table::replica;
+    } else if (config_.path_caching && hs.cache.contains(key)) {
+      table = Table::cache;
       ++stats_.cache_hits;
     }
   }
 
   co_await sim.delay(config_.local_access);
+  // Re-find after the suspension: an erase, a leave or a repair may have
+  // removed the entry (or the holder's whole store) meanwhile.
+  Versions versions;
+  if (const auto sit = stores_.find(holder->id()); sit != stores_.end()) {
+    const NodeStore& hs = sit->second;
+    if (table == Table::primary) {
+      const auto it = hs.primary.find(key);
+      if (it != hs.primary.end()) versions = it->second.versions;
+    } else if (table == Table::replica) {
+      const auto it = hs.replica.find(key);
+      if (it != hs.replica.end()) versions = it->second.versions;
+    } else if (table == Table::cache) {
+      const auto it = hs.cache.find(key);
+      if (it != hs.cache.end()) versions = it->second;
+    }
+  }
   if (versions == nullptr) {
     if (holder != &origin) {
       co_await net.send_message(holder->net_node(), origin.net_node(), 50, ctx);
@@ -273,10 +300,9 @@ sim::Task<Result<std::vector<Buffer>>> KvStore::get_routed(ChimeraNode& origin, 
   // Reply straight back to the origin with the value. Unreliable: a lost
   // reply is the origin's timeout to detect (and safe to retry — reads are
   // idempotent).
-  std::vector<Buffer> result = *versions;
   if (holder != &origin) {
     const bool delivered = co_await net.try_send_message(holder->net_node(), origin.net_node(),
-                                                         value_bytes(result), ctx);
+                                                         value_bytes(versions), ctx);
     if (!delivered) {
       ++stats_.send_timeouts;
       co_return Error{Errc::timeout, "read reply lost"};
@@ -285,20 +311,23 @@ sim::Task<Result<std::vector<Buffer>>> KvStore::get_routed(ChimeraNode& origin, 
 
   // Populate path caches (including the origin) and register them with the
   // owner for future invalidation. Only for values served from the
-  // authoritative copy, and only while that copy is unchanged — a concurrent
-  // put may have refreshed the caches already, and registering an older value
-  // afterwards would leave them permanently stale.
-  if (config_.path_caching && from_primary) {
+  // authoritative copy, and only while that copy still holds the same bytes
+  // — a concurrent put may have refreshed the caches already, and
+  // registering an older value afterwards would leave them permanently
+  // stale. An overwrite with equal bytes installs a new list, so compare
+  // contents, not pointers.
+  if (config_.path_caching && table == Table::primary) {
     const auto hit = stores_.find(holder->id());
     if (hit != stores_.end()) {
       if (auto pit = hit->second.primary.find(key);
-          pit != hit->second.primary.end() && pit->second.versions == result) {
+          pit != hit->second.primary.end() &&
+          (pit->second.versions == versions || *pit->second.versions == *versions)) {
         Entry& entry = pit->second;
         auto cache_on = [&](Key node_key) {
           if (node_key == holder->id()) return;
           ChimeraNode* cn = overlay_.node_by_key(node_key);
           if (cn == nullptr || !cn->online()) return;
-          stores_[node_key].cache[key] = result;
+          stores_[node_key].cache[key] = versions;
           entry.cached_at.insert(node_key);
           ++stats_.cache_updates;
         };
@@ -308,14 +337,7 @@ sim::Task<Result<std::vector<Buffer>>> KvStore::get_routed(ChimeraNode& origin, 
     }
   }
 
-  co_return result;
-}
-
-sim::Task<Result<Buffer>> KvStore::get(ChimeraNode& origin, Key key, obs::Ctx ctx) {
-  auto all = co_await get_all(origin, key, ctx);
-  if (!all.ok()) co_return all.error();
-  if (all->empty()) co_return Error{Errc::not_found, "empty entry"};
-  co_return all->back();
+  co_return versions;
 }
 
 sim::Task<Result<void>> KvStore::erase(ChimeraNode& origin, Key key, obs::Ctx ctx) {
@@ -418,7 +440,7 @@ sim::Task<> KvStore::replicate(ChimeraNode& owner, Key key) {
     if (sit == stores_.end()) co_return;
     auto cur = sit->second.primary.find(key);
     if (cur == sit->second.primary.end()) co_return;  // erased/moved meanwhile
-    const std::vector<Buffer> versions = cur->second.versions;
+    const Versions versions = cur->second.versions;
     const std::uint64_t seq = cur->second.seq;
     ++stats_.replication_msgs;
     co_await net.send_message(owner.net_node(), n->net_node(), value_bytes(versions));
@@ -548,16 +570,14 @@ sim::Task<> KvStore::redistribute_on_join(ChimeraNode& joiner) {
     sit->second.replica.clear();
     // c4h-lint: allow(R3) — prunes dangling registrations per entry; order-insensitive
     for (auto& [key, entry] : sit->second.primary) {
-      for (auto it = entry.replica_at.begin(); it != entry.replica_at.end();) {
-        const auto s = stores_.find(*it);
-        const bool present = s != stores_.end() && s->second.replica.contains(key);
-        it = present ? std::next(it) : entry.replica_at.erase(it);
-      }
-      for (auto it = entry.cached_at.begin(); it != entry.cached_at.end();) {
-        const auto s = stores_.find(*it);
-        const bool present = s != stores_.end() && s->second.cache.contains(key);
-        it = present ? std::next(it) : entry.cached_at.erase(it);
-      }
+      entry.replica_at.erase_if([&](Key r) {
+        const auto s = stores_.find(r);
+        return s == stores_.end() || !s->second.replica.contains(key);
+      });
+      entry.cached_at.erase_if([&](Key c) {
+        const auto s = stores_.find(c);
+        return s == stores_.end() || !s->second.cache.contains(key);
+      });
     }
   }
   // c4h-lint: allow(R3) — per-entry erase of one id; order-insensitive

@@ -19,9 +19,16 @@
 // operation owns a per-attempt timeout — request messages are sent
 // unreliably, a drop surfaces as Errc::timeout — and retries transient
 // failures with exponential backoff + jitter, bounded by KvConfig::retry.
+//
+// Stored values are shared, not copied: a key's version list is immutable
+// once stored, and the owner's entry, its replicas and the path caches all
+// point at the same list. A modification installs a new list (`chain` copies
+// the old one first). Bytes are copied only when a value leaves the store
+// through `get` (the last version) or `get_all` (the whole list).
 #pragma once
 
-#include <set>
+#include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -126,33 +133,67 @@ class KvStore {
   void set_metrics(obs::Registry* registry);
 
  private:
+  /// A key's version list, oldest first. Never mutated once stored, so
+  /// every holder shares one list.
+  using Versions = std::shared_ptr<const std::vector<Buffer>>;
+
+  /// Nodes holding copies of one entry: a sorted, duplicate-free vector, so
+  /// it iterates in key order like the std::set it replaces.
+  class KeySet {
+   public:
+    using const_iterator = std::vector<Key>::const_iterator;
+    const_iterator begin() const { return keys_.begin(); }
+    const_iterator end() const { return keys_.end(); }
+    bool contains(Key k) const { return std::binary_search(keys_.begin(), keys_.end(), k); }
+    void insert(Key k) {
+      const auto it = std::lower_bound(keys_.begin(), keys_.end(), k);
+      if (it == keys_.end() || *it != k) keys_.insert(it, k);
+    }
+    void erase(Key k) {
+      const auto it = std::lower_bound(keys_.begin(), keys_.end(), k);
+      if (it != keys_.end() && *it == k) keys_.erase(it);
+    }
+    template <typename Pred>
+    void erase_if(Pred pred) {
+      std::erase_if(keys_, pred);
+    }
+    void clear() { keys_.clear(); }
+
+   private:
+    std::vector<Key> keys_;
+  };
+
   struct Entry {
-    std::vector<Buffer> versions;
+    Versions versions;
     // Mutation counter, copied into every replica. When a failed owner's key
     // survives only in replicas, repair promotes the copy with the highest
     // seq — an owner that crashed mid-replication may leave copies of
     // different ages behind, and an acknowledged write must never lose to an
     // older copy.
     std::uint64_t seq = 0;
-    std::set<Key> cached_at;    // nodes holding path-cache copies
-    std::set<Key> replica_at;   // nodes holding replicas
+    KeySet cached_at;    // nodes holding path-cache copies
+    KeySet replica_at;   // nodes holding replicas
   };
 
   struct ReplicaCopy {
-    std::vector<Buffer> versions;
+    Versions versions;
     std::uint64_t seq = 0;
   };
 
+  // Held by reference across suspensions, so stores_ must stay a node-stable
+  // map: its references survive rehashing. Erasure does not keep them valid,
+  // so a frame that suspended re-finds what it reads.
   struct NodeStore {
     std::unordered_map<Key, Entry> primary;
     std::unordered_map<Key, ReplicaCopy> replica;
-    std::unordered_map<Key, std::vector<Buffer>> cache;
+    std::unordered_map<Key, Versions> cache;
   };
 
   sim::Task<Result<void>> put_attempt(overlay::ChimeraNode& origin, Key key,
                                       const Buffer& value, OverwritePolicy policy, obs::Ctx ctx);
-  sim::Task<Result<std::vector<Buffer>>> get_routed(overlay::ChimeraNode& origin, Key key,
-                                                    obs::Ctx ctx);
+  /// get and get_all share this body; the caller copies out what it returns.
+  sim::Task<Result<Versions>> lookup(overlay::ChimeraNode& origin, Key key, obs::Ctx ctx);
+  sim::Task<Result<Versions>> get_routed(overlay::ChimeraNode& origin, Key key, obs::Ctx ctx);
   sim::Task<Result<void>> erase_attempt(overlay::ChimeraNode& origin, Key key, obs::Ctx ctx);
   sim::Task<> replicate(overlay::ChimeraNode& owner, Key key);
   sim::Task<> refresh_caches(overlay::ChimeraNode& owner, Key key);
@@ -166,7 +207,7 @@ class KvStore {
   void drop_replicas(Key key, Entry& entry);
   int expected_replicas();
   int live_replica_count(Key key, const Entry& entry) const;
-  Bytes value_bytes(const std::vector<Buffer>& versions) const;
+  Bytes value_bytes(const Versions& versions) const;
 
   overlay::Overlay& overlay_;
   KvConfig config_;

@@ -98,13 +98,34 @@ class ChimeraNode {
     return out;
   }
 
+  /// Up to 2·kLeafRadius keys held inline: next_hop builds one per call, so
+  /// it must not touch the heap.
+  class LeafSet {
+   public:
+    static constexpr std::size_t kCapacity = 2 * kLeafRadius;
+
+    void push_back(Key k) { keys_[size_++] = k; }
+    const Key* begin() const { return keys_.data(); }
+    const Key* end() const { return keys_.data() + size_; }
+    std::size_t size() const { return size_; }
+
+   private:
+    std::array<Key, kCapacity> keys_{};
+    std::size_t size_ = 0;
+  };
+
   /// The leaf set: up to kLeafRadius ring neighbours on each side, from the
-  /// red-black tree view.
-  std::vector<Key> leaf_set() const {
-    std::vector<Key> out;
+  /// red-black tree view. With at most 2·kLeafRadius peers it is every peer,
+  /// in key order; otherwise the clockwise neighbours nearest first, then the
+  /// counter-clockwise ones.
+  LeafSet leaf_set() const {
+    LeafSet out;
     const auto n = peers_.size();
     if (n == 0) return out;
-    if (n <= 2 * kLeafRadius) return known_peers();
+    if (n <= LeafSet::kCapacity) {
+      peers_.for_each([&](const Key& k, const PeerInfo&) { out.push_back(k); });
+      return out;
+    }
 
     // Clockwise: successors of id_ in key order, wrapping.
     auto* start = peers_.lower_bound(id_);

@@ -206,15 +206,19 @@ std::vector<ChimeraNode*> Overlay::live_members() {
 }
 
 std::vector<Key> Overlay::successors_of(Key node, int r) {
-  std::vector<Key> live;
+  std::vector<Key>& live = live_scratch_;
+  live.clear();
   for (auto& n : nodes_) {
     if (n->online() && n->in_ring() && n->id() != node) live.push_back(n->id());
   }
-  std::sort(live.begin(), live.end(), [node](Key a, Key b) {
-    return node.clockwise_distance(a) < node.clockwise_distance(b);
-  });
-  if (live.size() > static_cast<std::size_t>(r)) live.resize(static_cast<std::size_t>(r));
-  return live;
+  // Only the r nearest need ordering. Node ids are distinct, so clockwise
+  // distances are too and the partial sort picks what a full sort would.
+  const std::size_t k = std::min(live.size(), static_cast<std::size_t>(r));
+  std::partial_sort(live.begin(), live.begin() + static_cast<std::ptrdiff_t>(k), live.end(),
+                    [node](Key a, Key b) {
+                      return node.clockwise_distance(a) < node.clockwise_distance(b);
+                    });
+  return std::vector<Key>(live.begin(), live.begin() + static_cast<std::ptrdiff_t>(k));
 }
 
 Key Overlay::true_owner(Key key) {

@@ -97,8 +97,8 @@ class Overlay {
                                        const std::function<bool(ChimeraNode&)>& stop_at = {},
                                        obs::Ctx ctx = {});
 
-  /// The `r` live ring successors of `node` (clockwise), excluding itself —
-  /// the replica set used by the KV layer.
+  /// The `r` live ring successors of `node` (clockwise, nearest first),
+  /// excluding itself — the replica set used by the KV layer.
   std::vector<Key> successors_of(Key node, int r);
 
   /// Starts periodic neighbour heartbeats on every current member.
@@ -149,6 +149,7 @@ class Overlay {
   std::function<sim::Task<>(ChimeraNode&)> leave_hook_;
   std::function<sim::Task<>(ChimeraNode&)> join_hook_;
   std::function<sim::Task<>(Key)> failure_hook_;
+  std::vector<Key> live_scratch_;  // successors_of's candidates, reused per call
   bool stabilizing_ = false;
   OverlayStats stats_;
 };

@@ -62,7 +62,7 @@ class EventArena {
     emplace_callback(s, std::forward<F>(fn));
     ++live_;
     heap_.push_back(Entry{at, ++next_seq_, slot, s.gen});
-    std::push_heap(heap_.begin(), heap_.end(), Entry::later);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     return make_handle(slot, s.gen);
   }
 
@@ -164,8 +164,13 @@ class EventArena {
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
-    // Min-heap via std::push_heap's max-heap machinery: "later" sorts first.
-    static bool later(const Entry& a, const Entry& b) {
+  };
+
+  // Min-heap via std::push_heap's max-heap machinery: "later" sorts first.
+  // A stateless functor, not a function pointer, so the heap algorithms
+  // inline the comparison instead of calling out on every sift step.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
       return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
@@ -245,7 +250,7 @@ class EventArena {
   }
 
   void pop_top() {
-    std::pop_heap(heap_.begin(), heap_.end(), Entry::later);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
 
@@ -257,7 +262,7 @@ class EventArena {
     std::erase_if(heap_, [this](const Entry& e) {
       return slots_[e.slot].gen != e.gen || slots_[e.slot].ops == nullptr;
     });
-    std::make_heap(heap_.begin(), heap_.end(), Entry::later);
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
     tombstones_ = 0;
   }
 

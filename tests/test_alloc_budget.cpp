@@ -35,10 +35,10 @@ using sim::Task;
 constexpr int kWarmup = 60;
 constexpr int kOps = 120;
 
-// Ceilings: the exact counts of the current op path over kOps ops, 27.6
-// allocations per store and 15.0 per fetch.
-constexpr std::uint64_t kStoreCeiling = 3309;
-constexpr std::uint64_t kFetchCeiling = 1802;
+// Ceilings: the exact counts of the current op path over kOps ops, 16.9
+// allocations per store and 9.6 per fetch.
+constexpr std::uint64_t kStoreCeiling = 2027;
+constexpr std::uint64_t kFetchCeiling = 1154;
 
 std::string object_name(int i) { return "budget-" + std::to_string(i) + ".dat"; }
 

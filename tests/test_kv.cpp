@@ -182,6 +182,108 @@ TEST(Kv, EraseLandingInsideLocalAccessWindowIsNotServedStale) {
   });
 }
 
+// What the owner does to the key while a routed read is in flight.
+enum class Race { none, erase, rewrite_same_bytes };
+
+// Stores "v" under `key` from node 0, then reads it back from a node that is
+// not the owner and holds no cached copy, so the read is routed. Unless
+// `race` is none, the owner erases the key, or stores "v" again, `at` after
+// the read starts.
+Task<> routed_read(Rig& r, Key key, Race race, Duration at, Result<std::vector<Buffer>>& out,
+                   Duration& took) {
+  (void)co_await r.kv->put(*r.nodes[0], key, buf("v"));
+  ChimeraNode* owner = r.overlay->node_by_key(r.overlay->true_owner(key));
+  ChimeraNode* reader = nullptr;
+  for (ChimeraNode* n : r.nodes) {
+    if (n != owner) {
+      reader = n;
+      break;
+    }
+  }
+  EXPECT_FALSE(r.kv->has_cache(reader->id(), key));
+  if (race != Race::none) {
+    r.sim.spawn([](Rig& rr, ChimeraNode& o, Key k, Race what, Duration wait) -> Task<> {
+      co_await rr.sim.delay(wait);
+      if (what == Race::erase) {
+        (void)co_await rr.kv->erase(o, k);
+      } else {
+        (void)co_await rr.kv->put(o, k, buf("v"));
+      }
+    }(r, *owner, key, race, at));
+  }
+  const TimePoint t0 = r.sim.now();
+  out = co_await r.kv->get_all(*reader, key);
+  took = r.sim.now() - t0;
+  // A served read leaves a registered cache copy at the reader, unless the
+  // race erased the key (and every copy) after it.
+  if (out.ok() && race != Race::erase) {
+    EXPECT_TRUE(r.kv->has_cache(reader->id(), key)) << "read served, not cached";
+  }
+}
+
+// Latency of an uncontended routed read on a fresh six-node rig.
+Duration routed_read_time(Key key) {
+  Rig rig{6};
+  Result<std::vector<Buffer>> got = Error{Errc::unavailable, "not run"};
+  Duration took{};
+  rig.sim.run_task(routed_read(rig, key, Race::none, {}, got, took));
+  EXPECT_TRUE(got.ok()) << got.error().message;
+  return took;
+}
+
+TEST(Kv, EraseLandingInsideRoutedLocalAccessWindowIsNotServedStale) {
+  // Regression: get_routed held the holder's table and a pointer into it
+  // across the holder's local-access delay; an erase that landed inside that
+  // window freed the entry and the resume read the freed list. The path now
+  // re-finds after the suspension and takes the no-value path. The owner's
+  // erase is swept across the whole routed read in steps shorter than the
+  // window, so at least one step lands inside it whatever the route costs.
+  const Key k = Key::from_name("obj-racy");
+  const Duration read_time = routed_read_time(k);
+  const Duration window = KvConfig{}.local_access;
+  ASSERT_GT(read_time, 2 * window);
+
+  int served = 0;
+  int missing = 0;
+  for (Duration at{}; at < read_time; at += window / 4) {
+    Rig rig{6};
+    Result<std::vector<Buffer>> got = Error{Errc::unavailable, "not run"};
+    Duration took{};
+    rig.sim.run_task(routed_read(rig, k, Race::erase, at, got, took));
+    if (got.ok()) {
+      ++served;
+      ASSERT_EQ(got->size(), 1u);
+      EXPECT_EQ(str(got->front()), "v");
+    } else {
+      ++missing;
+      EXPECT_EQ(got.code(), Errc::not_found) << got.error().message;
+    }
+  }
+  // Early erases win and late ones lose, so the sweep crossed the window.
+  EXPECT_GT(missing, 0);
+  EXPECT_GT(served, 0);
+}
+
+TEST(Kv, RewriteWithEqualBytesDuringRoutedReadStillRegistersCache) {
+  // Stored lists are shared and every put installs a new one, so a rewrite
+  // of the same bytes that lands while the read's reply is in flight leaves
+  // the owner holding a different list with equal contents. The read must
+  // still register the reader's cache copy: the check compares bytes, not
+  // pointers. The rewrite is swept across the whole read; routed_read
+  // checks that every served read left a registered cache behind.
+  const Key k = Key::from_name("obj-rewritten");
+  const Duration read_time = routed_read_time(k);
+  for (Duration at{}; at < read_time; at += KvConfig{}.local_access / 4) {
+    Rig rig{6};
+    Result<std::vector<Buffer>> got = Error{Errc::unavailable, "not run"};
+    Duration took{};
+    rig.sim.run_task(routed_read(rig, k, Race::rewrite_same_bytes, at, got, took));
+    ASSERT_TRUE(got.ok()) << got.error().message;
+    ASSERT_EQ(got->size(), 1u);
+    EXPECT_EQ(str(got->front()), "v");
+  }
+}
+
 TEST(Kv, RepeatedGetHitsCacheOrLocal) {
   KvConfig cfg;
   cfg.path_caching = true;

@@ -2,11 +2,14 @@
 // leaf sets, and randomized property sweeps at larger scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/common/rbtree.hpp"
+#include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/overlay/overlay.hpp"
 
@@ -270,6 +273,114 @@ TEST(ChimeraNode, RemovePeerClearsRoutingSlot) {
   n.remove_peer(p);
   EXPECT_FALSE(n.knows(p));
   EXPECT_EQ(n.next_hop(p), n.id());  // no peers → self
+}
+
+// Oracle: the vector-building leaf set over a red-black tree of `peers`,
+// kept verbatim from before leaf_set() returned an inline array.
+std::vector<Key> leaf_set_oracle(Key id, const std::vector<Key>& peers) {
+  using Tree = RbTree<Key, PeerInfo>;
+  constexpr int kLeafRadius = ChimeraNode::kLeafRadius;
+  Tree tree;
+  for (const Key k : peers) {
+    if (k != id) tree.insert(k, PeerInfo{});
+  }
+  std::vector<Key> out;
+  const auto n = tree.size();
+  if (n == 0) return out;
+  if (n <= 2 * kLeafRadius) {
+    tree.for_each([&](const Key& k, const PeerInfo&) { out.push_back(k); });
+    return out;
+  }
+  auto* start = tree.lower_bound(id);
+  auto* cur = start;
+  for (int i = 0; i < kLeafRadius; ++i) {
+    if (cur == nullptr) cur = tree.min();
+    out.push_back(cur->key);
+    cur = Tree::next(cur);
+  }
+  cur = start != nullptr ? Tree::prev(start) : tree.max();
+  for (int i = 0; i < kLeafRadius; ++i) {
+    if (cur == nullptr) cur = tree.max();
+    out.push_back(cur->key);
+    cur = Tree::prev(cur);
+  }
+  return out;
+}
+
+TEST(ChimeraNode, LeafSetMatchesVectorOracle) {
+  Simulation sim;
+  vmm::HostSpec spec;
+  spec.name = "h";
+  vmm::Host host{sim, spec};
+  Rng rng{2011};
+  // Mid-space, and next to either end of the ring, so both the clockwise and
+  // the counter-clockwise walk wrap around.
+  const std::vector<Key> ids{Key{Key::kMask / 2}, Key{3}, Key{Key::kMask - 3}};
+  int compared = 0;
+  for (const Key id : ids) {
+    for (int peers = 0; peers <= 20; ++peers) {
+      for (int trial = 0; trial < 8; ++trial) {
+        ChimeraNode n{id, "n", host};
+        std::vector<Key> keys;
+        for (int i = 0; i < peers; ++i) {
+          // Half the trials crowd the peers around the ring's ends.
+          const std::uint64_t raw = trial % 2 == 0
+                                        ? rng.below(Key::kMask + 1)
+                                        : (rng.chance(0.5) ? rng.below(64)
+                                                           : Key::kMask - rng.below(64));
+          keys.push_back(Key{raw});
+          n.add_peer(keys.back(), {});
+        }
+        const auto leaves = n.leaf_set();
+        EXPECT_EQ(std::vector<Key>(leaves.begin(), leaves.end()), leaf_set_oracle(id, keys))
+            << "id " << id.to_string() << ", " << peers << " peers, trial " << trial;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 3 * 21 * 8);
+}
+
+// Oracle: the collect-sort-resize successor scan kept from before
+// successors_of switched to a partial sort over a reused buffer.
+std::vector<Key> successors_oracle(const std::vector<ChimeraNode*>& nodes, Key node, int r) {
+  std::vector<Key> live;
+  for (const ChimeraNode* n : nodes) {
+    if (n->online() && n->in_ring() && n->id() != node) live.push_back(n->id());
+  }
+  std::sort(live.begin(), live.end(), [node](Key a, Key b) {
+    return node.clockwise_distance(a) < node.clockwise_distance(b);
+  });
+  if (live.size() > static_cast<std::size_t>(r)) live.resize(static_cast<std::size_t>(r));
+  return live;
+}
+
+TEST(Overlay, SuccessorsOfMatchesSortOracle) {
+  Rig rig{12};
+  rig.join_all();
+  Rng rng{7919};
+  int compared = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    // A random membership: some hosts down, some nodes out of the ring.
+    int live = 0;
+    for (std::size_t i = 0; i < rig.nodes.size(); ++i) {
+      rig.hosts[i]->set_online(!rng.chance(0.25));
+      rig.nodes[i]->set_in_ring(!rng.chance(0.2));
+      if (rig.nodes[i]->online() && rig.nodes[i]->in_ring()) ++live;
+    }
+    // Every node's own id (member or not) plus keys that are no node's id.
+    std::vector<Key> from;
+    for (const ChimeraNode* n : rig.nodes) from.push_back(n->id());
+    for (int i = 0; i < 4; ++i) from.push_back(Key{rng.below(Key::kMask + 1)});
+    for (const Key node : from) {
+      for (int r = 0; r <= live + 1; ++r) {
+        EXPECT_EQ(rig.overlay->successors_of(node, r), successors_oracle(rig.nodes, node, r))
+            << "trial " << trial << ", from " << node.to_string() << ", r " << r;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 40 * 16);
 }
 
 // Property sweep: at larger scale with partial membership, routing from any
