@@ -65,9 +65,9 @@ class WallTimer {
   }
 
  private:
-  // c4h-lint: allow(R2) — host-cost measurement only; never feeds simulated
-  // state, and the emitted series carry "-wall" units that bench-compare
-  // excludes from deterministic comparison.
+  // Host-cost measurement only: it never feeds simulated state, and the
+  // emitted series carry "-wall" units that bench-compare excludes from
+  // deterministic comparison.
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_ = Clock::now();
 };

@@ -21,6 +21,10 @@ using sim::Task;
 
 constexpr int kHomesPerHood = 2;
 
+// Names are built with append(): GCC 12 reports a false -Wrestrict on
+// "literal" + std::string.
+std::string tenant_name(int t) { return std::string("t").append(std::to_string(t)); }
+
 workload::WorkloadSpec make_spec(const bench::BenchArgs& args, int tenant_count) {
   workload::WorkloadSpec spec;
   spec.seed = args.seed;
@@ -28,7 +32,7 @@ workload::WorkloadSpec make_spec(const bench::BenchArgs& args, int tenant_count)
 
   for (int t = 0; t < tenant_count; ++t) {
     workload::TenantSpec ts;
-    ts.name = "t" + std::to_string(t);
+    ts.name = tenant_name(t);
     ts.principal = {ts.name, vstore::TrustLevel::trusted};
     // Fetch-heavy, with the occasional re-store (which republishes).
     ts.mix = {0.2, 0.8, 0.0, 0.0};
@@ -38,8 +42,8 @@ workload::WorkloadSpec make_spec(const bench::BenchArgs& args, int tenant_count)
     // Tenant homes interleave across neighborhoods (City::all_homes), so
     // the next two tenants live in other neighborhoods: most fetch traffic
     // is cross-neighborhood by construction.
-    ts.fetch_from = {"t" + std::to_string((t + 1) % tenant_count),
-                     "t" + std::to_string((t + 2) % tenant_count)};
+    ts.fetch_from = {tenant_name((t + 1) % tenant_count),
+                     tenant_name((t + 2) % tenant_count)};
     ts.arrival.rate_per_sec = args.quick ? 2.0 : 4.0;
     spec.tenants.push_back(ts);
   }
@@ -59,7 +63,7 @@ void run(const bench::BenchArgs& args) {
   std::vector<std::unique_ptr<vstore::HomeCloud>> homes;
   for (int h = 0; h < a.neighborhoods; ++h) {
     vstore::NeighborhoodConfig nc;
-    nc.name = "hood-" + std::to_string(h);
+    nc.name = std::string("hood-").append(std::to_string(h));
     // Geographic spread: each neighborhood sits farther from the metro
     // core, so inter-neighborhood latency grows with index distance.
     nc.spine_latency = milliseconds(1 + 3 * h);
@@ -69,7 +73,8 @@ void run(const bench::BenchArgs& args) {
       hc.netbooks = a.nodes - 1;
       hc.with_desktop = true;
       hc.seed = a.seed + static_cast<std::uint64_t>(h * kHomesPerHood + i);
-      hc.home_name = "h" + std::to_string(h) + "-" + std::to_string(i);
+      hc.home_name =
+          std::string("h").append(std::to_string(h)).append("-").append(std::to_string(i));
       hc.kv.replication = 2;
       hc.start_monitors = false;
       homes.push_back(std::make_unique<vstore::HomeCloud>(*hoods.back(), hc));

@@ -41,7 +41,6 @@ sim::Task<Result<void>> S3Store::erase(net::NetNodeId from, const std::string& u
 
 Bytes S3Store::stored_bytes() const {
   Bytes b = 0;
-  // c4h-lint: allow(R3) — integer byte sum; result is order-insensitive.
   for (const auto& [url, size] : objects_) b += size;
   return b;
 }

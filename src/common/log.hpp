@@ -1,6 +1,5 @@
 // Minimal leveled logger (printf-style; GCC 12 lacks <format>). Off
-// (warn-and-up) by default so benchmarks stay quiet; tests and examples can
-// raise verbosity.
+// (warn-and-up) by default so benchmarks stay quiet.
 #pragma once
 
 #include <string_view>
@@ -15,8 +14,6 @@ void emitf(LogLevel level, std::string_view component, const char* fmt, ...)
     __attribute__((format(printf, 3, 4)));
 }  // namespace log_detail
 
-inline void set_log_level(LogLevel level) { log_detail::global_level() = level; }
-inline LogLevel log_level() { return log_detail::global_level(); }
 inline bool log_enabled(LogLevel level) { return level >= log_detail::global_level(); }
 
 #define C4H_LOG_AT(level, component, ...)                              \

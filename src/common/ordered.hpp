@@ -5,7 +5,7 @@
 // unordered_map feeds anything observable — message emission order, placement
 // decisions, floating-point accumulation — that detail leaks into simulation
 // results and silently breaks byte-for-byte seed replay (the property
-// tests/test_determinism.cpp guards and c4h-lint rule R3 enforces).
+// tests/test_determinism.cpp guards and c4h-analyze rule D3 enforces).
 //
 // sorted_keys() snapshots a map's keys in sorted order so the caller can
 // traverse deterministically; mutation of the map during traversal is safe

@@ -86,8 +86,6 @@ class Samples {
     return xs_.empty() ? 0.0 : xs_.back();
   }
 
-  const std::vector<double>& values() const { return xs_; }
-
  private:
   void sort() {
     if (!sorted_) {

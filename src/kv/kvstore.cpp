@@ -50,10 +50,10 @@ int KvStore::live_replica_count(Key key, const Entry& entry) const {
 std::size_t KvStore::under_replicated() {
   const int expected = expected_replicas();
   std::size_t deficient = 0;
-  for (auto& [node, store] : stores_) {  // c4h-lint: allow(R3) — pure count
+  for (auto& [node, store] : stores_) {
     ChimeraNode* holder = overlay_.node_by_key(node);
     if (holder == nullptr || !holder->online()) continue;
-    for (auto& [key, entry] : store.primary) {  // c4h-lint: allow(R3) — pure count
+    for (auto& [key, entry] : store.primary) {
       if (live_replica_count(key, entry) < expected) ++deficient;
     }
   }
@@ -392,7 +392,6 @@ sim::Task<Result<void>> KvStore::erase_attempt(ChimeraNode& origin, Key key, obs
   // Tear down every copy, registered or not: an unregistered stray replica
   // left behind would otherwise be promoted after a later failure and
   // resurrect the deleted key.
-  // c4h-lint: allow(R3) — erases one key from every store; order-insensitive
   for (auto& [node, s] : stores_) {
     if (s.cache.erase(key) > 0) ++stats_.cache_updates;
     if (s.replica.erase(key) > 0) ++stats_.replication_msgs;
@@ -467,11 +466,11 @@ void KvStore::restore_replication() {
   if (config_.replication <= 0) return;
   std::vector<std::pair<Key, Key>> work;  // (owner node, key); apply after the
   // scan so inserts can't rehash under us. The scan loops are hash-ordered but
-  // only collect; sorting `work` below makes repair order seed-stable (R3).
-  for (auto& [node, store] : stores_) {  // c4h-lint: allow(R3) c4h-analyze: allow(D3) — collect only; sorted below
+  // only collect; sorting `work` below makes repair order seed-stable (D3).
+  for (auto& [node, store] : stores_) {  // c4h-analyze: allow(D3) — collect only; sorted below
     ChimeraNode* holder = overlay_.node_by_key(node);
     if (holder == nullptr || !holder->online()) continue;
-    for (auto& [key, entry] : store.primary) {  // c4h-lint: allow(R3) c4h-analyze: allow(D3) — collect only; sorted below
+    for (auto& [key, entry] : store.primary) {  // c4h-analyze: allow(D3) — collect only; sorted below
       if (live_replica_count(key, entry) < expected_replicas()) work.emplace_back(node, key);
     }
   }
@@ -547,9 +546,8 @@ sim::Task<> KvStore::redistribute_on_leave(ChimeraNode& leaver) {
 
   // Scrub the leaver from every cache/replica registration — its copies left
   // with it.
-  // c4h-lint: allow(R3) — per-entry erase of one id; order-insensitive
   for (auto& [node, store] : stores_) {
-    for (auto& [key, entry] : store.primary) {  // c4h-lint: allow(R3)
+    for (auto& [key, entry] : store.primary) {
       entry.cached_at.erase(leaver.id());
       entry.replica_at.erase(leaver.id());
     }
@@ -568,7 +566,6 @@ sim::Task<> KvStore::redistribute_on_join(ChimeraNode& joiner) {
   if (const auto sit = stores_.find(jid); sit != stores_.end()) {
     sit->second.cache.clear();
     sit->second.replica.clear();
-    // c4h-lint: allow(R3) — prunes dangling registrations per entry; order-insensitive
     for (auto& [key, entry] : sit->second.primary) {
       entry.replica_at.erase_if([&](Key r) {
         const auto s = stores_.find(r);
@@ -580,10 +577,9 @@ sim::Task<> KvStore::redistribute_on_join(ChimeraNode& joiner) {
       });
     }
   }
-  // c4h-lint: allow(R3) — per-entry erase of one id; order-insensitive
   for (auto& [node, store] : stores_) {
     if (node == jid) continue;
-    for (auto& [key, entry] : store.primary) {  // c4h-lint: allow(R3)
+    for (auto& [key, entry] : store.primary) {
       entry.cached_at.erase(jid);
       entry.replica_at.erase(jid);
     }
@@ -596,11 +592,11 @@ sim::Task<> KvStore::redistribute_on_join(ChimeraNode& joiner) {
   // restored node may hold an older copy of a key that was re-owned and
   // rewritten while it was down, and that stale copy must never serve.
   std::vector<std::pair<Key, Key>> moves;  // (holder node, key)
-  for (auto& [node, store] : stores_) {  // c4h-lint: allow(R3) c4h-analyze: allow(D3) — collect only; sorted below
+  for (auto& [node, store] : stores_) {  // c4h-analyze: allow(D3) — collect only; sorted below
     if (node == jid) continue;
     ChimeraNode* holder = overlay_.node_by_key(node);
     if (holder == nullptr || !holder->online()) continue;
-    for (auto& [key, entry] : store.primary) {  // c4h-lint: allow(R3) c4h-analyze: allow(D3) — collect only; sorted below
+    for (auto& [key, entry] : store.primary) {  // c4h-analyze: allow(D3) — collect only; sorted below
       if (overlay_.true_owner(key) == jid) moves.emplace_back(node, key);
     }
   }
@@ -648,9 +644,8 @@ sim::Task<> KvStore::repair_after_failure(Key dead) {
   // then restore the replication factor. Also scrub the dead node from
   // cache/replica registrations.
   stores_.erase(dead);
-  // c4h-lint: allow(R3) — per-entry erase of one id; order-insensitive
   for (auto& [node, store] : stores_) {
-    for (auto& [key, entry] : store.primary) {  // c4h-lint: allow(R3)
+    for (auto& [key, entry] : store.primary) {
       entry.cached_at.erase(dead);
       entry.replica_at.erase(dead);
     }
@@ -660,10 +655,10 @@ sim::Task<> KvStore::repair_after_failure(Key dead) {
   // The scan is hash-ordered but the std::set canonicalizes: promotion below
   // runs in sorted key order regardless of how the orphans were discovered.
   std::set<Key> orphaned;
-  for (auto& [node, store] : stores_) {  // c4h-lint: allow(R3) — set-canonicalized
+  for (auto& [node, store] : stores_) {
     ChimeraNode* holder = overlay_.node_by_key(node);
     if (holder == nullptr || !holder->online()) continue;
-    for (auto& [key, copy] : store.replica) {  // c4h-lint: allow(R3) — set-canonicalized
+    for (auto& [key, copy] : store.replica) {
       const Key owner = overlay_.true_owner(key);
       const auto oit = stores_.find(owner);
       if (oit == stores_.end() || !oit->second.primary.contains(key)) orphaned.insert(key);
@@ -677,7 +672,8 @@ sim::Task<> KvStore::repair_after_failure(Key dead) {
     Key best_holder{};
     std::uint64_t best_seq = 0;
     bool found = false;
-    // c4h-lint: allow(R3) — max scan with a total-order tie-break on node id
+    // A max scan with a total-order tie-break on node id: hash order cannot
+    // change the winner.
     for (auto& [node, store] : stores_) {
       ChimeraNode* h = overlay_.node_by_key(node);
       if (h == nullptr || !h->online()) continue;
@@ -716,7 +712,6 @@ sim::Task<> KvStore::repair_after_failure(Key dead) {
     // Surviving copies: refresh older ones to the promoted value and
     // re-register them; cached copies of the key anywhere may predate the
     // crash and are dropped wholesale (they re-form on the next reads).
-    // c4h-lint: allow(R3) — per-store refresh of one key; order-insensitive
     for (auto& [n2, s2] : stores_) {
       s2.cache.erase(key);
       if (n2 == owner_key) {
@@ -748,7 +743,6 @@ std::vector<Key> KvStore::primary_keys(Key node) const {
 
 std::size_t KvStore::total_entries() const {
   std::size_t n = 0;
-  // c4h-lint: allow(R3) — integer sum; order-insensitive
   for (const auto& [node, store] : stores_) n += store.primary.size();
   return n;
 }

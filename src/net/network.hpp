@@ -123,7 +123,7 @@ class Network {
   // Ordered by id (= admission order), not hashed: recompute() iterates this
   // table to build the max-min solver's inputs, and floating-point
   // summation order must not depend on hash-table layout — determinism
-  // rule R3 (tools/c4h-lint).
+  // rule D3 (c4h-analyze).
   std::map<std::uint64_t, Flow> flows_;
   sim::EventId next_event_;  // the one pending flow event
   MaxMinSolver solver_;

@@ -157,8 +157,6 @@ class FaultPlan {
       if (hooks_.restart) {
         sim_.schedule(downtime, [this, victim] {
           ++stats_.restarts;
-          // c4h-lint: allow(R4) — this is the std::function restart hook,
-          // not the Result-returning Overlay::restart the name index matched.
           hooks_.restart(victim);
         });
       }

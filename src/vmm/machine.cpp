@@ -108,7 +108,6 @@ void Host::recompute() {
   for (auto it = jobs_.begin(); it != jobs_.end();) {
     if (it->second.remaining <= kCycleEps) {
       completed.push_back(it->second.done);
-      ++jobs_completed_;
       it = jobs_.erase(it);
     } else {
       ++it;

@@ -128,8 +128,6 @@ class Host {
   bool online() const { return online_; }
   void set_online(bool v) { online_ = v; }
 
-  std::uint64_t jobs_completed() const { return jobs_completed_; }
-
  private:
   struct Job {
     std::uint64_t id;
@@ -154,11 +152,10 @@ class Host {
   std::uint64_t next_job_id_ = 1;
   // Ordered by id (= submission order), not hashed: recompute() iterates this
   // table into the fair-share solver and cpu_utilization() sums rates, so
-  // iteration order must be seed-stable — determinism rule R3 (tools/c4h-lint).
+  // iteration order must be seed-stable — determinism rule D3 (c4h-analyze).
   std::map<std::uint64_t, Job> jobs_;
   sim::EventId next_event_;  // the earliest job completion
   net::MaxMinSolver solver_;
-  std::uint64_t jobs_completed_ = 0;
 
   double battery_wh_;
   TimePoint battery_updated_{};

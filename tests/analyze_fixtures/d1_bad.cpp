@@ -1,6 +1,6 @@
 // D1 true positives: wall-clock / entropy values flowing into scheduling and
-// metrics sinks — directly, through local assignments, and across a function
-// boundary via a tainted return value.
+// metrics sinks — directly, through local assignments, across a function
+// boundary via a tainted return value, and from a library-defined engine.
 #include <chrono>
 #include <random>
 
@@ -32,4 +32,9 @@ void bad_cross_function(Simulation& sim) {
 
 void bad_metric(c4h::obs::Histogram& lat) {
   lat.record(static_cast<unsigned long>(std::time(nullptr)));  // D1: time() into metrics
+}
+
+void bad_library_engine(Simulation& sim) {
+  std::default_random_engine eng;  // the engine type differs between std libraries
+  sim.schedule(static_cast<long>(eng() % 10), [] {});  // D1
 }

@@ -1,6 +1,6 @@
-// D3 true positives: iterating an unordered container while doing
-// order-sensitive work in the loop body — appending to output, awaiting
-// messages, recording metrics. Hash order leaks into observable state.
+// D3 true positives: iterating an unordered container, in range-for or
+// iterator form, while doing order-sensitive work in the loop body — appending,
+// awaiting, recording metrics. Hash order leaks into observable state.
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +27,12 @@ struct Directory {
   void bad_metrics_in_hash_order(c4h::obs::Histogram& h) {
     for (const auto& [name, size] : entries) {
       h.record(static_cast<unsigned long>(size));  // D3: merge order = hash order
+    }
+  }
+
+  void bad_iterator_in_hash_order(std::vector<std::string>& out) {
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      out.push_back(it->first);  // D3: the iterator form walks the same order
     }
   }
 };

@@ -135,7 +135,7 @@ TEST_P(ChurnSweep, SystemStaysConsistentUnderRandomChurn) {
     // Sorted readback: each get is awaited, so the sweep order feeds the
     // event schedule and must be a function of the seed, not of hash layout.
     std::vector<std::pair<Key, std::string>> sorted_oracle(
-        oracle.begin(), oracle.end());  // c4h-lint: allow(R3) — snapshot, sorted next
+        oracle.begin(), oracle.end());
 
     std::sort(sorted_oracle.begin(), sorted_oracle.end());
     for (const auto& [k, v] : sorted_oracle) {

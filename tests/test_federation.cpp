@@ -32,15 +32,17 @@ struct CityRig {
 
   explicit CityRig(std::uint64_t seed = 7, int neighborhoods = kHoods)
       : city{{.seed = seed, .spines = 2}} {
+    // Names are built with append(): GCC 12 reports a false -Wrestrict on
+    // "literal" + std::string.
     for (int h = 0; h < neighborhoods; ++h) {
       vstore::NeighborhoodConfig nc;
-      nc.name = "hood-" + std::to_string(h);
+      nc.name = std::string("hood-").append(std::to_string(h));
       nc.spine_latency = milliseconds(1 + 3 * h);
       hoods.push_back(std::make_unique<Neighborhood>(city, nc));
       for (int i = 0; i < kHomesPerHood; ++i) {
-        HomeCloudConfig cfg =
-            home_cfg("h" + std::to_string(h) + "-" + std::to_string(i),
-                     seed + static_cast<std::uint64_t>(h * kHomesPerHood + i));
+        HomeCloudConfig cfg = home_cfg(
+            std::string("h").append(std::to_string(h)).append("-").append(std::to_string(i)),
+            seed + static_cast<std::uint64_t>(h * kHomesPerHood + i));
         homes.push_back(std::make_unique<HomeCloud>(*hoods[static_cast<std::size_t>(h)], cfg));
       }
     }

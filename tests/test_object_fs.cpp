@@ -185,7 +185,6 @@ TEST(ObjectFs, WatcherValuesFeedTheMonitor) {
       }
     }
     Bytes want_m = 0, want_v = 0;
-    // c4h-lint: allow(R3) — integer sums; accumulation order is irrelevant.
     for (const auto& [n, sv] : ref) {
       (sv.second == Bin::mandatory ? want_m : want_v) += sv.first;
     }

@@ -121,8 +121,6 @@ TEST_P(RbTreeRandomTest, DifferentialAgainstStdMap) {
   }
   ASSERT_GE(t.validate(), 0);
   ASSERT_EQ(t.size(), ref.size());
-  // c4h-lint: allow(R3) — `ref` here is a std::map (in-order oracle); the
-  // linter's name index collides with an unordered `ref` in another test.
   auto it = ref.begin();
   bool all_match = true;
   t.for_each([&](std::uint64_t k, std::uint64_t v) {

@@ -44,7 +44,7 @@ struct Artifact {
   std::string bench;
   double seed = 0.0;
   // label \x1f metric -> point; std::map so mismatch reports come out in a
-  // stable sorted order (determinism rule R3 applies to tools too).
+  // stable sorted order (determinism rule D3 applies to tools too).
   std::map<std::string, Point> points;
 };
 

@@ -9,10 +9,8 @@
 // line that holds code, so a multi-line justification above a statement
 // still attaches to it.
 //
-// Shares the philosophy (and the battle-tested literal/comment state
-// machine) of tools/c4h-lint, but emits a richer stream: string tokens,
-// `&&`/`->`/`::` kept whole, and per-file allow maps keyed for the
-// analyzer's rule ids (A1..A4, D1..D3) instead of the linter's R1..R5.
+// `&&`/`->`/`::` lex whole, and the allow maps are keyed by the analyzer's
+// rule ids (A1..A6, D1..D3, H1). Raw lines are kept for H1's directive check.
 #pragma once
 
 #include <map>

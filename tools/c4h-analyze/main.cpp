@@ -5,7 +5,7 @@
 //               [--exclude=SUBSTR]... <file-or-dir>...
 //
 // Exit codes: 0 clean (or fully baselined/suppressed), 1 new findings,
-// 2 usage or IO error.
+// 2 usage or IO error. New findings are followed by a per-rule tally.
 //
 // The baseline is a JSON document (c4h-analyze-baseline-v1) keyed on
 // (file, rule, function) — line numbers are deliberately absent so ordinary
@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -31,8 +32,7 @@ using namespace c4h::analyze;
 namespace {
 
 bool skip_dir(const std::string& name) {
-  return name == ".git" || name == "lint_fixtures" || name == "analyze_fixtures" ||
-         name.rfind("build", 0) == 0;
+  return name == ".git" || name == "analyze_fixtures" || name.rfind("build", 0) == 0;
 }
 
 bool source_file(const fs::path& p) {
@@ -168,7 +168,8 @@ int usage() {
 int main(int argc, char** argv) {
   std::vector<std::string> inputs, excludes;
   std::string baseline_path, write_baseline_path;
-  std::set<std::string> enabled = {"A1", "A2", "A3", "A4", "D1", "D2", "D3"};
+  std::set<std::string> enabled = {"A1", "A2", "A3", "A4", "A5", "A6",
+                                   "D1", "D2", "D3", "H1"};
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -250,6 +251,13 @@ int main(int argc, char** argv) {
   for (const Finding* f : fresh) {
     std::printf("%s:%d: [%s] %s (in %s)\n", f->file.c_str(), f->line, f->rule.c_str(),
                 f->msg.c_str(), f->func.empty() ? "<file scope>" : f->func.c_str());
+  }
+  std::map<std::string, int> per_rule;
+  for (const Finding* f : fresh) ++per_rule[f->rule];
+  if (!per_rule.empty()) {
+    std::printf("c4h-analyze: new findings by rule:");
+    for (const auto& [rule, n] : per_rule) std::printf(" %s=%d", rule.c_str(), n);
+    std::printf("\n");
   }
   for (const BaselineEntry& e : baseline) {
     if (!e.seen) {

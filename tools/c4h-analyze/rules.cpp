@@ -44,6 +44,21 @@ bool is_temporary_arg(const std::vector<Token>& toks, std::size_t b, std::size_t
   return false;
 }
 
+// Index of the '(' that ends the call chain `name ((::|.|->) name)*` starting
+// at toks[i], or npos; `callee` receives the chain's last name.
+std::size_t call_chain(const std::vector<Token>& toks, std::size_t i, std::size_t limit,
+                       std::string& callee) {
+  for (; i + 1 < limit && toks[i].kind == Token::Kind::ident; i += 2) {
+    const std::string& next = toks[i + 1].text;
+    if (next == "(") {
+      callee = toks[i].text;
+      return i + 1;
+    }
+    if (next != "::" && next != "." && next != "->") break;
+  }
+  return std::string::npos;
+}
+
 // Locates every call to `spawn` / `run_task` in the body and yields the
 // token range of its (single) argument.
 struct SpawnSite {
@@ -108,19 +123,7 @@ void rule_a1(const FileModel& m, const Function& fn, const SymbolIndex& index,
       call_args = split_args(toks, bclose + 1, cclose);
       callee = "coroutine lambda";
     } else {
-      // Named call: walk the qualification chain to the callee '('.
-      std::size_t call_open = std::string::npos;
-      for (std::size_t k = s.arg_b; k + 1 < s.arg_e; ++k) {
-        if (toks[k].kind == Token::Kind::ident && toks[k + 1].text == "(") {
-          call_open = k + 1;
-          callee = toks[k].text;
-          break;
-        }
-        if (toks[k].kind != Token::Kind::ident && toks[k].text != "::" &&
-            toks[k].text != "." && toks[k].text != "->") {
-          break;
-        }
-      }
+      const std::size_t call_open = call_chain(toks, s.arg_b, s.arg_e, callee);
       if (call_open == std::string::npos) continue;
       const auto it = index.fns.find(callee);
       if (it == index.fns.end() || !it->second.task_like) continue;
@@ -284,6 +287,85 @@ void rule_a4(const FileModel& m, const Function& fn, const SymbolIndex& index,
   }
 }
 
+// A5 — `co_await f(...)` inside a for/while header, or with an operator on
+// either side. GCC 12 has miscompiled these shapes (zero latency, heap
+// corruption); await into a named local first.
+void rule_a5(const FileModel& m, const Function& fn, std::vector<Finding>& out) {
+  static const std::set<std::string> ops = {"&&", "||", "==", "!=", "<", ">", "<=", ">=",
+                                            "+",  "-",  "*",  "/",  "%", "!", "?", "<<"};
+  const auto& toks = m.file->toks;
+  std::vector<bool> loop_header;  // per open '(': does it open a for/while header?
+  for (std::size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
+    const std::string& t = toks[i].text;
+    if (t == "(") {
+      loop_header.push_back(is_ident(toks[i - 1], "for") || is_ident(toks[i - 1], "while"));
+      continue;
+    }
+    if (t == ")" && !loop_header.empty()) loop_header.pop_back();
+    if (t != "co_await") continue;
+    std::string callee;
+    const std::size_t open = call_chain(toks, i + 1, fn.body_end, callee);
+    if (open == std::string::npos) continue;  // a named awaitable
+    const std::size_t close = match_close(toks, open);
+    if (close == std::string::npos || close >= fn.body_end) continue;
+    const bool in_header =
+        std::find(loop_header.begin(), loop_header.end(), true) != loop_header.end();
+    if (!in_header && ops.count(toks[i - 1].text) == 0 && ops.count(toks[close + 1].text) == 0)
+      continue;
+    const int line = toks[i].line;
+    if (allowed(*m.file, line, "A5")) continue;
+    out.push_back({m.file->path, line, "A5", fn.qual,
+                   std::string("co_await of a temporary task inside a ") +
+                       (in_header ? "loop header" : "compound subexpression") +
+                       "; bind the awaited value to a named local first"});
+  }
+}
+
+// A6 — `(void)task_fn(...);`. The cast silences Task's [[nodiscard]], so the
+// compiler accepts it, but a lazy task runs only when awaited or spawned: the
+// call does nothing.
+void rule_a6(const FileModel& m, const Function& fn, const SymbolIndex& index,
+             std::vector<Finding>& out) {
+  const auto& toks = m.file->toks;
+  for (std::size_t i = fn.body_begin + 1; i + 3 < fn.body_end; ++i) {
+    if (toks[i].text != "(" || !is_ident(toks[i + 1], "void") || toks[i + 2].text != ")")
+      continue;
+    std::string callee;
+    const std::size_t open = call_chain(toks, i + 3, fn.body_end, callee);
+    if (open == std::string::npos) continue;
+    const auto it = index.fns.find(callee);
+    if (it == index.fns.end() || !it->second.task_like) continue;
+    const std::size_t close = match_close(toks, open);
+    if (close == std::string::npos || close + 1 >= fn.body_end || toks[close + 1].text != ";")
+      continue;
+    const int line = toks[i].line;
+    if (allowed(*m.file, line, "A6")) continue;
+    out.push_back({m.file->path, line, "A6", fn.qual,
+                   "(void)-cast call to task '" + callee +
+                       "' is never awaited, so it never runs; co_await or spawn it"});
+  }
+}
+
+// H1 — header hygiene: every header has `#pragma once` and declares into
+// namespace c4h. Reported at line 1, so `allow(H1)` goes on the first line.
+void rule_h1(const FileModel& m, std::vector<Finding>& out) {
+  const SourceFile& f = *m.file;
+  if (allowed(f, 1, "H1")) return;
+  const bool pragma_once =
+      std::any_of(f.raw_lines.begin(), f.raw_lines.end(), [](const std::string& s) {
+        const std::size_t b = s.find_first_not_of(" \t");
+        return b != std::string::npos && s.compare(b, 12, "#pragma once") == 0;
+      });
+  if (!pragma_once) out.push_back({f.path, 1, "H1", "", "header is missing #pragma once"});
+  bool ns = false;
+  for (std::size_t i = 0; i + 1 < f.toks.size() && !ns; ++i) {
+    ns = is_ident(f.toks[i], "namespace") && is_ident(f.toks[i + 1], "c4h");
+  }
+  if (!ns) {
+    out.push_back({f.path, 1, "H1", "", "header does not declare anything in namespace c4h"});
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Family D — determinism taint
 // ---------------------------------------------------------------------------
@@ -311,7 +393,8 @@ bool is_source(const std::vector<Token>& toks, std::size_t i, TaintKind kind) {
   if (kind == TaintKind::time_entropy) {
     static const std::set<std::string> any_use = {
         "system_clock", "steady_clock", "high_resolution_clock", "random_device",
-        "mt19937",      "mt19937_64",   "gettimeofday",          "getenv"};
+        "mt19937",      "mt19937_64",   "default_random_engine", "gettimeofday",
+        "getenv"};
     if (any_use.count(t.text) > 0) return true;
     static const std::set<std::string> call_only = {"rand", "srand", "time", "clock"};
     if (call_only.count(t.text) > 0 && next != nullptr && next->text == "(") {
@@ -456,7 +539,8 @@ void taint_report(const FileModel& m, const Function& fn, const SymbolIndex& ind
   }
 }
 
-// D3 — iteration over an unordered container with an order-sensitive body.
+// D3 — iteration over an unordered container with an order-sensitive body,
+// in range-for or iterator form.
 void rule_d3(const FileModel& m, const Function& fn, const SymbolIndex& index,
              std::vector<Finding>& out) {
   static const std::set<std::string> sensitive = {
@@ -479,21 +563,32 @@ void rule_d3(const FileModel& m, const Function& fn, const SymbolIndex& index,
         break;
       }
     }
-    if (colon == std::string::npos) continue;
-    // An explicitly sorted view (sorted_keys(m), sorted(m), ...) is ordered
-    // no matter what it wraps.
-    if (colon + 2 < hclose && toks[colon + 1].kind == Token::Kind::ident &&
-        toks[colon + 1].text.find("sort") != std::string::npos &&
-        toks[colon + 2].text == "(") {
-      continue;
-    }
     bool unordered = false;
-    for (std::size_t k = colon + 1; k < hclose; ++k) {
-      if (toks[k].kind != Token::Kind::ident) continue;
-      if (toks[k].text.rfind("unordered_", 0) == 0 ||
-          index.unordered_vars.count(toks[k].text) > 0) {
-        unordered = true;
-        break;
+    if (colon == std::string::npos) {
+      // Iterator form: for (auto it = m.begin(); ...) over an unordered m.
+      for (std::size_t k = i + 3; k + 1 < hclose && toks[k].text != ";"; ++k) {
+        if ((toks[k].text == "." || toks[k].text == "->") &&
+            (is_ident(toks[k + 1], "begin") || is_ident(toks[k + 1], "cbegin")) &&
+            index.unordered_vars.count(toks[k - 1].text) > 0) {
+          unordered = true;
+          break;
+        }
+      }
+    } else {
+      // An explicitly sorted view (sorted_keys(m), sorted(m), ...) is ordered
+      // no matter what it wraps.
+      if (colon + 2 < hclose && toks[colon + 1].kind == Token::Kind::ident &&
+          toks[colon + 1].text.find("sort") != std::string::npos &&
+          toks[colon + 2].text == "(") {
+        continue;
+      }
+      for (std::size_t k = colon + 1; k < hclose; ++k) {
+        if (toks[k].kind != Token::Kind::ident) continue;
+        if (toks[k].text.rfind("unordered_", 0) == 0 ||
+            index.unordered_vars.count(toks[k].text) > 0) {
+          unordered = true;
+          break;
+        }
       }
     }
     if (!unordered) continue;
@@ -575,12 +670,15 @@ bool propagate_taint(const std::vector<FileModel>& models, SymbolIndex& index) {
 std::vector<Finding> run_rules(const FileModel& m, const SymbolIndex& index,
                                const std::set<std::string>& enabled) {
   std::vector<Finding> out;
+  if (enabled.count("H1") > 0 && m.file->is_header) rule_h1(m, out);
   for (const Function& fn : m.fns) {
     if (!fn.has_body) continue;
     if (enabled.count("A1") > 0) rule_a1(m, fn, index, out);
     if (enabled.count("A2") > 0) rule_a2(m, fn, out);
     if (enabled.count("A3") > 0) rule_a3(m, fn, out);
     if (enabled.count("A4") > 0) rule_a4(m, fn, index, out);
+    if (enabled.count("A5") > 0) rule_a5(m, fn, out);
+    if (enabled.count("A6") > 0) rule_a6(m, fn, index, out);
     if (enabled.count("D1") > 0) taint_report(m, fn, index, TaintKind::time_entropy, out);
     if (enabled.count("D2") > 0) taint_report(m, fn, index, TaintKind::pointer_identity, out);
     if (enabled.count("D3") > 0) rule_d3(m, fn, index, out);

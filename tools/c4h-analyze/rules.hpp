@@ -1,7 +1,7 @@
 // c4h-analyze rule passes.
 //
-// Two rule families run over the per-file models plus a cross-file symbol
-// index:
+// Two rule families and a header check run over the per-file models plus a
+// cross-file symbol index:
 //
 //   Family A — coroutine lifetime:
 //     A1  temporary bound to a reference parameter of a spawned Task
@@ -10,6 +10,9 @@
 //     A3  container iterator held across a co_await suspension point
 //     A4  member coroutine of a function-local object handed to spawn()
 //         (the detached frame keeps `this` after the local dies)
+//     A5  co_await of a temporary call in a for/while header or next to an
+//         operator (a shape GCC 12 miscompiles)
+//     A6  (void)-cast call to a task that is never awaited, so never runs
 //
 //   Family B — determinism taint (flow-sensitive, cross-function):
 //     D1  wall-clock / entropy values flowing into scheduling, simulation
@@ -18,6 +21,11 @@
 //         std::hash<T*>) flowing into the same sinks or into containers
 //     D3  iteration over an unordered container whose loop body performs
 //         order-sensitive work (appends, emits, schedules, suspends)
+//
+//   H1  a header without #pragma once or without namespace c4h
+//
+// A bare discarded Result or Task is not a rule here: both types are
+// [[nodiscard]] and the build passes -Werror=unused-result.
 //
 // Taint for D1/D2 propagates through local assignments to a per-function
 // fixpoint, and across calls via the set of functions whose return value is
@@ -36,8 +44,8 @@ namespace c4h::analyze {
 struct Finding {
   std::string file;
   int line = 0;
-  std::string rule;  // "A1".."A4", "D1".."D3"
-  std::string func;  // qualified enclosing function
+  std::string rule;  // "A1".."A6", "D1".."D3", "H1"
+  std::string func;  // qualified enclosing function; empty for H1
   std::string msg;
 };
 
