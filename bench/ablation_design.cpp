@@ -1,6 +1,6 @@
-// Ablation: learned vs static placement (ROADMAP item 4).
+// Ablation: learned vs static placement (DESIGN.md §15).
 //
-// Replays the item-3 scenario matrix — IoT fan-in, flash crowd, mixed
+// Replays the DESIGN.md §11 scenario matrix — IoT fan-in, flash crowd, mixed
 // tenants — plus an uplink-flap scenario, once per decision policy
 // (performance / balanced / battery / learned), every run under background
 // contention on the desktop. Static policies trust the monitored records
@@ -64,7 +64,7 @@ Duration scenario_duration(const bench::BenchArgs& args) {
   return args.quick ? seconds(24) : seconds(72);
 }
 
-// --- The scenario matrix (compressed item-3 shapes) -------------------------
+// --- The scenario matrix (compressed DESIGN.md §11 shapes) -------------------
 
 workload::WorkloadSpec iot_fanin_spec(const bench::BenchArgs& args) {
   workload::WorkloadSpec spec;

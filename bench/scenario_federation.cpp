@@ -2,8 +2,10 @@
 // metro City of neighborhoods (leaf/spine wide-area core, geo-spread spine
 // latencies), two homes per neighborhood, tenants homed round-robin across
 // neighborhoods fetching each other's published objects through the
-// GeoFederation's geo-aware replica selection — under mild crash/restart
-// churn, with a periodic repair sweep healing replica sets.
+// GeoFederation's geo-aware replica selection — with mild crash/restart
+// churn and a periodic repair sweep healing replica sets. Both start with
+// the run, so at the default sizes they end inside the driver's preload
+// (DESIGN.md §12).
 //
 // The headline series: fetch-latency tails (p50/p99/p999) split by the
 // four serving tiers — local / neighborhood / wide_area / cloud — the cost
@@ -12,7 +14,7 @@
 
 #include "bench/scenario_util.hpp"
 #include "src/sim/sync.hpp"
-#include "src/workload/federation_driver.hpp"
+#include "src/workload/workload.hpp"
 
 namespace c4h {
 namespace {
@@ -85,7 +87,7 @@ void run(const bench::BenchArgs& args) {
   federation::GeoFederation fed{city, {.replication = 2}};
   const int tenant_count = static_cast<int>(homes.size());
   const workload::WorkloadSpec spec = make_spec(a, tenant_count);
-  workload::FederationDriver driver{city, fed, spec};
+  workload::Driver driver{city, fed, spec};
   const workload::Schedule schedule = workload::generate(spec);
   std::printf("city: %d neighborhoods x %d homes x %d nodes; %zu ops, %zu objects\n\n",
               a.neighborhoods, kHomesPerHood, a.nodes, schedule.ops.size(),
@@ -100,7 +102,7 @@ void run(const bench::BenchArgs& args) {
   fault.horizon = spec.duration * 6 / 10;
   sim::FaultPlan& plan = city.enable_chaos(fault);
 
-  city.run([](vstore::City& c, federation::GeoFederation& f, workload::FederationDriver& d,
+  city.run([](vstore::City& c, federation::GeoFederation& f, workload::Driver& d,
               const workload::Schedule& s, Duration duration) -> Task<> {
     std::vector<Task<>> tasks;
     tasks.push_back(d.drive(s));

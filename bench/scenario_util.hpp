@@ -1,4 +1,4 @@
-// Shared plumbing for the `scenario_*` bench family (ROADMAP item 3): a
+// Shared plumbing for the `scenario_*` bench family (DESIGN.md §11): a
 // HomeCloudConfig derived from the common --seed/--nodes flags, a per-tenant
 // result table, and the c4h-bench-v1 emission that extends the series with
 // p50/p99/p999 tail-latency rows pulled from the workload histograms.

@@ -68,7 +68,7 @@ class BenchReport {
 /// ms). Quantiles are LogHistogram bucket lower bounds — deterministic,
 /// integer-only, ≤2× relative error — so same-seed runs emit byte-identical
 /// tails. This is the c4h-bench-v1 extension the workload scenarios use:
-/// tails, not means, are the tracked production numbers (ROADMAP item 3).
+/// tails, not means, are the tracked production numbers (DESIGN.md §11).
 void add_latency_tails(BenchReport& report, const std::string& label,
                        const std::string& metric, const LogHistogram& h);
 

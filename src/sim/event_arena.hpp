@@ -2,7 +2,7 @@
 //
 // Every scheduled event used to cost a heap-allocated std::function plus an
 // unordered_map insert/find/erase round-trip; at 10k-node scale the engine
-// itself became the hot path (ROADMAP item 1). The arena replaces both:
+// itself became the hot path (DESIGN.md §13). The arena replaces both:
 //
 //  * Callbacks live inline in a fixed-size small buffer inside the slot
 //    (kInlineBytes covers every capture the simulator schedules: a coroutine

@@ -1,4 +1,4 @@
-// Online adaptive placement engine — ROADMAP item 4, the §III-B/§VII
+// Online adaptive placement engine — DESIGN.md §15, the §III-B/§VII
 // future-work direction ("associate learning methods and support dynamic
 // adaptations") promoted to a first-class decision policy.
 //

@@ -203,131 +203,150 @@ std::uint64_t DriveResult::wrong() const {
 }
 
 Driver::Driver(vstore::HomeCloud& hc, WorkloadSpec spec)
-    : hc_(hc), spec_(std::move(spec)), done_(hc.sim()) {
-  assert(!spec_.tenants.empty());
-  assert(hc_.node_count() >= spec_.tenants.size());
-  result_.tenants.resize(spec_.tenants.size());
-  tenant_nodes_.resize(spec_.tenants.size());
-  issue_rr_.assign(spec_.tenants.size(), 0);
-  for (std::size_t t = 0; t < spec_.tenants.size(); ++t) {
+    : Driver({&hc}, hc.sim(), hc.metrics(), "c4h.workload.", nullptr, std::move(spec)) {}
+
+Driver::Driver(vstore::City& city, federation::GeoFederation& fed, WorkloadSpec spec)
+    : Driver(city.all_homes(), city.sim(), city.metrics(), "c4h.workload.fed_", &fed,
+             std::move(spec)) {}
+
+Driver::Driver(std::vector<vstore::HomeCloud*> homes, sim::Simulation& sim,
+               obs::Registry& metrics, std::string metric_prefix,
+               federation::GeoFederation* fed, WorkloadSpec spec)
+    : homes_(std::move(homes)),
+      sim_(sim),
+      metrics_(metrics),
+      metric_prefix_(std::move(metric_prefix)),
+      fed_(fed),
+      spec_(std::move(spec)),
+      done_(sim) {
+  const std::size_t tenants = spec_.tenants.size();
+  assert(tenants > 0 && !homes_.empty());
+  result_.tenants.resize(tenants);
+  tenant_nodes_.resize(tenants);
+  issue_rr_.assign(tenants, 0);
+  for (std::size_t t = 0; t < tenants; ++t) {
     result_.tenants[t].name = spec_.tenants[t].name;
   }
-  // Partition nodes round-robin: node i serves tenant (i mod T), its
-  // application VM acting as that tenant's principal.
-  for (std::size_t i = 0; i < hc_.node_count(); ++i) {
-    const std::size_t t = i % spec_.tenants.size();
-    tenant_nodes_[t].push_back(i);
-    hc_.node(i).set_principal(spec_.tenants[t].principal);
+  // Tenant t lives in home t mod H; home h's nodes are dealt round-robin
+  // among its tenants h, h + H, h + 2H, ..., each node's application VM
+  // acting as that tenant's principal.
+  for (std::size_t h = 0; h < homes_.size() && h < tenants; ++h) {
+    vstore::HomeCloud& home = *homes_[h];
+    const std::size_t living_here = (tenants - h - 1) / homes_.size() + 1;
+    assert(home.node_count() >= living_here);
+    for (std::size_t i = 0; i < home.node_count(); ++i) {
+      const std::size_t t = h + (i % living_here) * homes_.size();
+      tenant_nodes_[t].push_back(&home.node(i));
+      home.node(i).set_principal(spec_.tenants[t].principal);
+    }
   }
 }
 
 vstore::VStoreNode* Driver::pick_node(std::uint32_t tenant) {
   const auto& nodes = tenant_nodes_[tenant];
   for (std::size_t k = 0; k < nodes.size(); ++k) {
-    const std::size_t i = nodes[(issue_rr_[tenant] + k) % nodes.size()];
-    if (hc_.node(i).online()) {
+    vstore::VStoreNode* n = nodes[(issue_rr_[tenant] + k) % nodes.size()];
+    if (n->online()) {
       issue_rr_[tenant] = (issue_rr_[tenant] + k + 1) % nodes.size();
-      return &hc_.node(i);
+      return n;
     }
   }
   return nullptr;
 }
 
 obs::LogHistogram& Driver::latency_histogram(std::uint32_t tenant, OpKind kind) {
-  return hc_.metrics().histogram("c4h.workload." + std::string(to_string(kind)) +
-                                 ".latency_ns{tenant=" + spec_.tenants[tenant].name + "}");
+  return metrics_.histogram(metric_prefix_ + to_string(kind) + ".latency_ns{tenant=" +
+                            spec_.tenants[tenant].name + "}");
+}
+
+sim::Task<Errc> Driver::store(vstore::VStoreNode& n, std::uint32_t tenant,
+                              const ObjectSpec& obj) {
+  // Every store keeps the catalog identity (the owner tenant's meta and the
+  // object's fixed size), so `acked` sizes stay the ground truth.
+  const TenantSpec& issuer = spec_.tenants[tenant];
+  const TenantSpec& owner = spec_.tenants[obj.tenant];
+  vstore::ObjectMeta meta;
+  meta.name = obj.name;
+  meta.type = obj.type;
+  meta.size = obj.size;
+  if (obj.is_private) meta.tags.push_back("private");
+  meta.owner = owner.principal.user;
+  meta.acl = owner.acl;
+  vstore::StoreOptions opts;
+  opts.policy = issuer.store_policy;
+  opts.decision = issuer.decision;
+  // already_exists just means this node created the object before (a
+  // re-store from the same node); the overwrite path is store_object.
+  auto created = co_await n.create_object(meta);
+  if (!created.ok() && created.code() != Errc::already_exists) co_return created.code();
+  auto stored = co_await n.store_object(obj.name, opts);
+  if (!stored.ok()) co_return stored.code();
+  if (fed_ != nullptr) {
+    auto published = co_await fed_->publish(home_of(tenant), n, obj.name);
+    if (!published.ok()) co_return published.code();
+  }
+  result_.acked[obj.name] = obj.size;
+  co_return Errc::ok;
 }
 
 sim::Task<> Driver::preload(const Schedule& s) {
   for (const ObjectSpec& o : s.objects) {
-    const TenantSpec& ts = spec_.tenants[o.tenant];
     vstore::VStoreNode* n = pick_node(o.tenant);
     if (n == nullptr) continue;
-    vstore::ObjectMeta meta;
-    meta.name = o.name;
-    meta.type = o.type;
-    meta.size = o.size;
-    if (o.is_private) meta.tags.push_back("private");
-    meta.owner = ts.principal.user;
-    meta.acl = ts.acl;
-    vstore::StoreOptions opts;
-    opts.policy = ts.store_policy;
-    opts.decision = ts.decision;
-    auto created = co_await n->create_object(meta);
-    if (!created.ok()) continue;
-    auto stored = co_await n->store_object(o.name, opts);
-    if (stored.ok()) result_.acked[o.name] = o.size;
+    co_await store(*n, o.tenant, o);  // a failure only leaves `o` out of `acked`
   }
 }
 
 sim::Task<> Driver::execute(const ScheduledOp& op, const Schedule& s) {
   const ObjectSpec& obj = s.objects[op.object];
   const TenantSpec& issuer = spec_.tenants[op.tenant];
-  const TenantSpec& owner = spec_.tenants[obj.tenant];
   TenantStats& stats = result_.tenants[op.tenant];
 
+  const bool runs_service = op.kind == OpKind::process || op.kind == OpKind::fetch_process;
   vstore::VStoreNode* n = pick_node(op.tenant);
-  if (n == nullptr) {
+  if (n == nullptr || (runs_service && !issuer.service.has_value())) {
     ++stats.skipped;
     co_return;
   }
   const auto kind_idx = static_cast<std::size_t>(op.kind);
   ++stats.issued[kind_idx];
-  const TimePoint t0 = hc_.sim().now();
+  const TimePoint t0 = sim_.now();
 
   Errc err = Errc::ok;
   switch (op.kind) {
-    case OpKind::store: {
-      // Re-stores keep the catalog identity (owner tenant's meta and the
-      // object's fixed size), so `acked` sizes stay the ground truth.
-      vstore::ObjectMeta meta;
-      meta.name = obj.name;
-      meta.type = obj.type;
-      meta.size = obj.size;
-      if (obj.is_private) meta.tags.push_back("private");
-      meta.owner = owner.principal.user;
-      meta.acl = owner.acl;
-      vstore::StoreOptions opts;
-      opts.policy = issuer.store_policy;
-      opts.decision = issuer.decision;
-      // already_exists just means this node created the object before (a
-      // re-store from the same node); the overwrite path is store_object.
-      auto created = co_await n->create_object(meta);
-      if (!created.ok() && created.code() != Errc::already_exists) {
-        err = created.code();
-        break;
-      }
-      auto stored = co_await n->store_object(obj.name, opts);
-      if (stored.ok()) {
-        result_.acked[obj.name] = obj.size;
-      } else {
-        err = stored.code();
-      }
+    case OpKind::store:
+      err = co_await store(*n, op.tenant, obj);
       break;
-    }
     case OpKind::fetch: {
-      auto fetched = co_await n->fetch_object(obj.name);
-      if (fetched.ok()) {
-        if (fetched->size != obj.size) ++stats.wrong;
+      Bytes size = 0;
+      if (fed_ == nullptr) {
+        auto fetched = co_await n->fetch_object(obj.name);
+        if (!fetched.ok()) {
+          err = fetched.code();
+          break;
+        }
+        size = fetched->size;
       } else {
-        err = fetched.code();
+        vstore::HomeCloud& home = home_of(op.tenant);
+        auto fetched = co_await fed_->fetch(home, *n, obj.name);
+        if (!fetched.ok()) {
+          err = fetched.code();
+          break;
+        }
+        size = fetched->size;
+        if (home_of(obj.tenant).neighborhood() != home.neighborhood()) {
+          ++result_.cross_hood_fetches;
+        }
       }
+      if (size != obj.size) ++stats.wrong;
       break;
     }
     case OpKind::process: {
-      if (!issuer.service.has_value()) {
-        ++stats.skipped;
-        co_return;
-      }
       auto processed = co_await n->process(obj.name, *issuer.service, issuer.decision);
       if (!processed.ok()) err = processed.code();
       break;
     }
     case OpKind::fetch_process: {
-      if (!issuer.service.has_value()) {
-        ++stats.skipped;
-        co_return;
-      }
       auto processed = co_await n->fetch_process(obj.name, *issuer.service, issuer.decision);
       if (!processed.ok()) err = processed.code();
       break;
@@ -337,7 +356,7 @@ sim::Task<> Driver::execute(const ScheduledOp& op, const Schedule& s) {
   if (err == Errc::ok) {
     ++stats.ok[kind_idx];
     latency_histogram(op.tenant, op.kind)
-        .record(static_cast<std::uint64_t>((hc_.sim().now() - t0).count()));
+        .record(static_cast<std::uint64_t>((sim_.now() - t0).count()));
   } else if (err == Errc::permission_denied) {
     ++stats.denied;
   } else {
@@ -353,12 +372,11 @@ sim::Task<> Driver::tracked(ScheduledOp op, const Schedule& s) {
 }
 
 sim::Task<> Driver::replay(const Schedule& s) {
-  auto& sim = hc_.sim();
   for (const ScheduledOp& op : s.ops) {
     const TimePoint at = start_time_ + op.at;
-    if (at > sim.now()) co_await sim.delay(at - sim.now());
+    if (at > sim_.now()) co_await sim_.delay(at - sim_.now());
     ++pending_;
-    sim.spawn(tracked(op, s));
+    sim_.spawn(tracked(op, s));
   }
   draining_ = true;
   if (pending_ > 0) co_await done_.wait();
@@ -371,10 +389,9 @@ sim::Task<> Driver::closed_client(std::uint32_t tenant, std::uint64_t client_see
   const auto own = own_sets(spec_.tenants.size(), s.objects);
   const ZipfTable own_zipf{std::max<std::size_t>(own[tenant].size(), 1), ts.zipf_s};
   const ZipfTable fetch_zipf{std::max<std::size_t>(fetchable_[tenant].size(), 1), ts.zipf_s};
-  auto& sim = hc_.sim();
-  while (sim.now() < end_time_) {
+  while (sim_.now() < end_time_) {
     ScheduledOp op;
-    op.at = sim.now() - start_time_;
+    op.at = sim_.now() - start_time_;
     op.tenant = tenant;
     op.kind = ts.mix.sample(rng);
     if (op.kind == OpKind::store) {
@@ -385,14 +402,14 @@ sim::Task<> Driver::closed_client(std::uint32_t tenant, std::uint64_t client_see
       op.object = fetchable_[tenant][fetch_zipf.sample(rng)];
     }
     co_await execute(op, s);
-    co_await sim.delay(from_seconds(rng.exponential(to_seconds(ts.closed.mean_think))));
+    co_await sim_.delay(from_seconds(rng.exponential(to_seconds(ts.closed.mean_think))));
   }
 }
 
 sim::Task<> Driver::drive(const Schedule& s) {
   fetchable_ = fetchable_sets(spec_, s.objects);
   co_await preload(s);
-  start_time_ = hc_.sim().now();
+  start_time_ = sim_.now();
   end_time_ = start_time_ + spec_.duration;
 
   // Client seeds are derived up front, in tenant/client order, so the seed
@@ -405,7 +422,7 @@ sim::Task<> Driver::drive(const Schedule& s) {
       tasks.push_back(closed_client(t, seeder.next(), s));
     }
   }
-  co_await sim::when_all(hc_.sim(), std::move(tasks));
+  co_await sim::when_all(sim_, std::move(tasks));
 }
 
 void emit_tail_series(obs::BenchReport& report, const obs::Registry& registry) {

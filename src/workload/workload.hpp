@@ -1,5 +1,5 @@
-// Composable, deterministic workload generation and execution (ROADMAP
-// item 3: "heavy-traffic multi-tenant workload suite").
+// Composable, deterministic workload generation and execution (DESIGN.md
+// §11: the multi-tenant workload model).
 //
 // Two halves:
 //
@@ -9,8 +9,9 @@
 //    The schedule is a pure function of the spec (seed included): identical
 //    specs produce byte-identical schedules (Schedule::fingerprint()).
 //
-//  * Driver replays a schedule against a live HomeCloud: it partitions the
-//    home's nodes among tenants (each node's application VM acts as its
+//  * Driver replays a schedule against one HomeCloud or against a City
+//    through its GeoFederation: it places each tenant in a home and gives it
+//    some of that home's nodes (each node's application VM acts as its
 //    tenant's principal), preloads the catalogs, fires open-loop ops at
 //    their scheduled times (requests do NOT wait for each other — queues
 //    build when the system falls behind, as in production), runs closed-loop
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "src/common/units.hpp"
+#include "src/federation/geo_federation.hpp"
 #include "src/obs/bench_emit.hpp"
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
@@ -116,12 +118,16 @@ struct TenantStats {
 struct DriveResult {
   std::vector<TenantStats> tenants;
   /// Acknowledged stores (preload + workload): object name → catalog size.
-  /// The chaos suite re-reads these after faults settle — an acknowledged
-  /// write that cannot be fetched back is a lost write.
+  /// In a City a store is acknowledged once it is also published. The chaos
+  /// suite re-reads these after faults settle — an acknowledged write that
+  /// cannot be fetched back is a lost write.
   std::map<std::string, Bytes> acked;
   /// Failure breakdown: error-code name → count (covers the `failed` ops;
   /// denials are counted separately).
   std::map<std::string, std::uint64_t> errors;
+  /// In a City: successful fetches whose issuing tenant lives in another
+  /// neighborhood than the object's owner — the wide-area tier's traffic.
+  std::uint64_t cross_hood_fetches = 0;
 
   std::uint64_t issued() const;
   std::uint64_t ok() const;
@@ -130,36 +136,55 @@ struct DriveResult {
   std::uint64_t wrong() const;
 };
 
-/// Executes a schedule against a HomeCloud. Construct, then `hc.run(
-/// driver.drive(schedule))`; inspect `result()` afterwards. Latencies of
-/// successful ops land in the deployment registry as
-/// `c4h.workload.<op>.latency_ns{tenant=<name>}` histograms.
+/// Executes a schedule against one HomeCloud, or against a City through a
+/// GeoFederation. Construct, then `run(driver.drive(schedule))` on the
+/// deployment; inspect `result()` afterwards.
+///
+/// Placement: tenant t lives in home t mod H (`City::all_homes()` order;
+/// one home is H = 1), and each home's nodes are dealt round-robin among
+/// the tenants living there, each node's application VM acting as its
+/// tenant's principal. In one home, node i serves tenant i mod T.
+///
+/// Latencies of successful ops land in the deployment registry as
+/// `c4h.workload.<op>.latency_ns{tenant=<name>}` histograms; in a City, in
+/// the City registry as `c4h.workload.fed_<op>.latency_ns{tenant=<name>}`.
 class Driver {
  public:
   Driver(vstore::HomeCloud& hc, WorkloadSpec spec);
+  /// Stores also publish into `fed`, and fetches go through `fed.fetch`.
+  Driver(vstore::City& city, federation::GeoFederation& fed, WorkloadSpec spec);
 
-  /// Partitions nodes among tenants, preloads every catalog object from its
-  /// owner's nodes, then replays the schedule and runs closed-loop clients;
-  /// completes once every issued op has finished.
+  /// Preloads every catalog object from its owner's nodes, then replays the
+  /// schedule and runs closed-loop clients; completes once every issued op
+  /// has finished.
   sim::Task<> drive(const Schedule& s);
 
   const DriveResult& result() const { return result_; }
 
  private:
+  Driver(std::vector<vstore::HomeCloud*> homes, sim::Simulation& sim, obs::Registry& metrics,
+         std::string metric_prefix, federation::GeoFederation* fed, WorkloadSpec spec);
+
   sim::Task<> preload(const Schedule& s);
   sim::Task<> replay(const Schedule& s);
   sim::Task<> tracked(ScheduledOp op, const Schedule& s);
   sim::Task<> closed_client(std::uint32_t tenant, std::uint64_t client_seed,
                             const Schedule& s);
   sim::Task<> execute(const ScheduledOp& op, const Schedule& s);
+  sim::Task<Errc> store(vstore::VStoreNode& n, std::uint32_t tenant, const ObjectSpec& obj);
+  vstore::HomeCloud& home_of(std::uint32_t tenant) { return *homes_[tenant % homes_.size()]; }
   vstore::VStoreNode* pick_node(std::uint32_t tenant);
   obs::LogHistogram& latency_histogram(std::uint32_t tenant, OpKind kind);
 
-  vstore::HomeCloud& hc_;
+  std::vector<vstore::HomeCloud*> homes_;  // City::all_homes() order
+  sim::Simulation& sim_;
+  obs::Registry& metrics_;
+  std::string metric_prefix_;       // "c4h.workload." or "c4h.workload.fed_"
+  federation::GeoFederation* fed_;  // set in a City
   WorkloadSpec spec_;
   DriveResult result_;
-  std::vector<std::vector<std::size_t>> tenant_nodes_;  // node indices per tenant
-  std::vector<std::size_t> issue_rr_;                   // round-robin cursor
+  std::vector<std::vector<vstore::VStoreNode*>> tenant_nodes_;
+  std::vector<std::size_t> issue_rr_;  // round-robin cursor per tenant
   std::vector<std::vector<std::uint32_t>> fetchable_;
   TimePoint start_time_{};
   TimePoint end_time_{};

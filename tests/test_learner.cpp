@@ -72,7 +72,7 @@ TEST(Learner, ContextsAreIndependent) {
   EXPECT_EQ(l.contexts(), 2u);
 }
 
-// --- Statistics-grade properties (ROADMAP item 4) ---------------------------
+// --- Statistics-grade properties (DESIGN.md §15) ----------------------------
 //
 // The bandit's guarantees are distributional, so these run the same
 // experiment across many seeds and check the aggregate against binomial

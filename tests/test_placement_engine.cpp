@@ -1,4 +1,4 @@
-// PlacementEngine unit suite (ROADMAP item 4): cost-model prior with WAN
+// PlacementEngine unit suite (DESIGN.md §15): cost-model prior with WAN
 // re-pricing, prior/observation blending, dwell+margin hysteresis (no
 // thrash on near-ties), store-veto accounting, regret accounting, metrics
 // mirroring, and decision-stream determinism. Everything here is exact and

@@ -1,11 +1,13 @@
 // Tests for src/workload: Zipf popularity against the analytic pmf,
 // schedule determinism (the property the whole suite rests on — identical
 // specs produce byte-identical schedules), diurnal/flash-crowd rate
-// modulation, and tenant/op-mix proportions.
+// modulation, tenant/op-mix proportions, and the Driver's tenant placement
+// and outcome accounting in one home and in a City.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
+#include <memory>
 
 #include "src/common/rng.hpp"
 #include "src/workload/workload.hpp"
@@ -239,6 +241,224 @@ TEST(FromTrace, MapsFilesToTenantsAndIsDeterministic) {
   EXPECT_EQ(s1.ops.size(), w.ops.size());
   for (std::size_t i = 1; i < s1.ops.size(); ++i) {
     EXPECT_GE(s1.ops[i].at, s1.ops[i - 1].at);  // monotone pacing
+  }
+}
+
+
+// --- Driver ------------------------------------------------------------------
+
+// Names are built with append(): GCC 12 reports a false -Wrestrict on
+// "literal" + std::string.
+std::string numbered(const char* prefix, std::size_t i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+
+/// Store/fetch tenants t0..t(n-1) whose catalogs anyone may read; tenant t
+/// also fetches tenant (t+1 mod n)'s catalog.
+WorkloadSpec store_fetch_spec(std::size_t tenants, std::uint64_t seed) {
+  WorkloadSpec spec;
+  spec.seed = seed;
+  spec.duration = seconds(8);
+  for (std::size_t t = 0; t < tenants; ++t) {
+    TenantSpec ts;
+    ts.name = numbered("t", t);
+    ts.principal = {ts.name, vstore::TrustLevel::trusted};
+    ts.acl.allow("*", {vstore::Right::read});
+    ts.mix = {0.3, 0.7, 0.0, 0.0};
+    ts.object_count = 5;
+    ts.size = {64_KB, 256_KB};
+    if (tenants > 1) ts.fetch_from = {numbered("t", (t + 1) % tenants)};
+    ts.arrival.rate_per_sec = 3.0;
+    spec.tenants.push_back(ts);
+  }
+  return spec;
+}
+
+vstore::HomeCloudConfig small_home(std::string name, int nodes, std::uint64_t seed) {
+  vstore::HomeCloudConfig cfg;
+  cfg.home_name = std::move(name);
+  cfg.netbooks = nodes - 1;
+  cfg.with_desktop = true;
+  cfg.start_monitors = false;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// Samples in `tenant`'s `<prefix><kind>` latency histogram (0 when it was
+/// never recorded).
+std::uint64_t latency_count(const obs::Registry& registry, const std::string& prefix,
+                            OpKind kind, const std::string& tenant) {
+  const obs::Snapshot snap = registry.snapshot();
+  const auto it =
+      snap.histograms.find(prefix + to_string(kind) + ".latency_ns{tenant=" + tenant + "}");
+  return it == snap.histograms.end() ? 0 : it->second.count();
+}
+
+constexpr OpKind kAllKinds[] = {OpKind::store, OpKind::fetch, OpKind::process,
+                                OpKind::fetch_process};
+
+TEST(Driver, OneHomeAccountsForEveryOp) {
+  const WorkloadSpec spec = store_fetch_spec(3, 4);
+  vstore::HomeCloud hc{small_home("home", 5, 4)};
+  hc.bootstrap();
+  Driver driver{hc, spec};
+  const Schedule schedule = generate(spec);
+  ASSERT_GT(schedule.count(OpKind::store), 0u);
+  hc.run(driver.drive(schedule));
+  const DriveResult& r = driver.result();
+
+  // Node i serves tenant (i mod T).
+  for (std::size_t i = 0; i < hc.node_count(); ++i) {
+    EXPECT_EQ(hc.node(i).principal().user,
+              spec.tenants[i % spec.tenants.size()].principal.user)
+        << "node " << i;
+  }
+  EXPECT_EQ(r.issued(), schedule.ops.size());
+  for (const TenantStats& ts : r.tenants) {
+    EXPECT_EQ(ts.issued_total(), ts.ok_total() + ts.failed + ts.denied) << ts.name;
+    for (const OpKind k : kAllKinds) {
+      EXPECT_EQ(latency_count(hc.metrics(), "c4h.workload.", k, ts.name),
+                ts.ok[static_cast<std::size_t>(k)])
+          << ts.name << " " << to_string(k);
+    }
+  }
+  for (const ObjectSpec& o : schedule.objects) {
+    const auto it = r.acked.find(o.name);
+    ASSERT_NE(it, r.acked.end()) << o.name;
+    EXPECT_EQ(it->second, o.size) << o.name;
+  }
+  EXPECT_EQ(r.cross_hood_fetches, 0u);
+}
+
+TEST(Driver, SkippedOpIsNeverCountedAsIssued) {
+  // A process-weighted tenant without a service: its process ops are
+  // skipped, and a skipped op must not also count as issued.
+  WorkloadSpec spec = store_fetch_spec(1, 6);
+  spec.tenants[0].mix = {0.5, 0.0, 0.5, 0.0};
+  vstore::HomeCloud hc{small_home("home", 3, 6)};
+  hc.bootstrap();
+  Driver driver{hc, spec};
+  const Schedule schedule = generate(spec);
+  ASSERT_GT(schedule.count(OpKind::process), 0u);
+  hc.run(driver.drive(schedule));
+
+  const TenantStats& ts = driver.result().tenants[0];
+  EXPECT_EQ(ts.skipped, schedule.count(OpKind::process));
+  EXPECT_EQ(ts.issued[static_cast<std::size_t>(OpKind::process)], 0u);
+  EXPECT_EQ(ts.issued_total(), ts.ok_total() + ts.failed + ts.denied);
+  EXPECT_EQ(ts.issued_total() + ts.skipped, schedule.ops.size());
+}
+
+/// A City of `neighborhoods` neighborhoods with one three-node home each.
+struct SmallCity {
+  vstore::City city{{.seed = 13, .spines = 2}};
+  std::vector<std::unique_ptr<vstore::Neighborhood>> hoods;
+  std::vector<std::unique_ptr<vstore::HomeCloud>> homes;
+  std::unique_ptr<federation::GeoFederation> fed;
+
+  explicit SmallCity(std::size_t neighborhoods) {
+    for (std::size_t h = 0; h < neighborhoods; ++h) {
+      vstore::NeighborhoodConfig nc;
+      nc.name = numbered("hood-", h);
+      nc.spine_latency = milliseconds(1 + 3 * static_cast<int>(h));
+      hoods.push_back(std::make_unique<vstore::Neighborhood>(city, nc));
+      homes.push_back(std::make_unique<vstore::HomeCloud>(
+          *hoods.back(), small_home(numbered("h", h), 3, 13 + h)));
+    }
+    for (auto& hc : homes) hc->bootstrap();
+    fed = std::make_unique<federation::GeoFederation>(city,
+                                                      federation::GeoConfig{.replication = 2});
+  }
+};
+
+TEST(Driver, CityPublishesStoresAndFetchesThroughTheFederation) {
+  SmallCity c{2};
+  const WorkloadSpec spec = store_fetch_spec(2, 8);  // t0 and t1 fetch each other's catalog
+  Driver driver{c.city, *c.fed, spec};
+  const Schedule schedule = generate(spec);
+  ASSERT_GT(schedule.count(OpKind::store), 0u);
+  c.city.run(driver.drive(schedule));
+  const DriveResult& r = driver.result();
+
+  // Fault-free: every op succeeds, so the schedule says which fetches were
+  // of the other tenant's objects (the other tenant lives in the other
+  // neighborhood).
+  ASSERT_EQ(r.ok(), schedule.ops.size());
+  std::uint64_t others = 0;
+  for (const ScheduledOp& op : schedule.ops) {
+    others += op.kind == OpKind::fetch && schedule.objects[op.object].tenant != op.tenant;
+  }
+  EXPECT_GT(others, 0u);
+  EXPECT_EQ(r.cross_hood_fetches, others);
+
+  std::uint64_t ok_fetches = 0;
+  for (const TenantStats& ts : r.tenants) {
+    ok_fetches += ts.ok[static_cast<std::size_t>(OpKind::fetch)];
+  }
+  const auto& by_path = c.fed->stats().fetches;
+  EXPECT_EQ(by_path[0] + by_path[1] + by_path[2] + by_path[3], ok_fetches);
+
+  EXPECT_EQ(r.acked.size(), schedule.objects.size());
+  for (const auto& [name, size] : r.acked) {
+    EXPECT_GT(c.fed->live_replicas(name), 0u) << name;
+  }
+
+  // Latencies land in the City registry under the fed_ names, and in no
+  // home's registry.
+  for (const TenantStats& ts : r.tenants) {
+    for (const OpKind k : kAllKinds) {
+      EXPECT_EQ(latency_count(c.city.metrics(), "c4h.workload.fed_", k, ts.name),
+                ts.ok[static_cast<std::size_t>(k)])
+          << ts.name << " " << to_string(k);
+    }
+  }
+  for (const auto& hc : c.homes) {
+    const obs::Snapshot snap = hc->metrics().snapshot();
+    for (const auto& [name, hist] : snap.histograms) {
+      EXPECT_NE(name.rfind("c4h.workload.", 0), 0u) << hc->config().home_name << ": " << name;
+    }
+  }
+}
+
+TEST(Driver, CityWithMoreTenantsThanHomesGivesEachNodeOneTenant) {
+  SmallCity c{2};
+  // Five tenants in two three-node homes: t0, t2, t4 share home 0, and
+  // t1, t3 share home 1. Catalogs are private to their owners, so a
+  // re-store issued from another tenant's node would be denied.
+  WorkloadSpec spec = store_fetch_spec(5, 9);
+  for (TenantSpec& ts : spec.tenants) {
+    ts.acl = vstore::Acl::owner_only();
+    ts.fetch_from.clear();
+    ts.mix = {0.7, 0.3, 0.0, 0.0};
+  }
+  Driver driver{c.city, *c.fed, spec};
+  const Schedule schedule = generate(spec);
+  c.city.run(driver.drive(schedule));
+  const DriveResult& r = driver.result();
+
+  std::vector<std::size_t> nodes_of(spec.tenants.size(), 0);
+  for (std::size_t h = 0; h < c.homes.size(); ++h) {
+    for (std::size_t i = 0; i < c.homes[h]->node_count(); ++i) {
+      const std::string& user = c.homes[h]->node(i).principal().user;
+      std::size_t served = 0;
+      for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
+        if (spec.tenants[t].principal.user != user) continue;
+        ++served;
+        ++nodes_of[t];
+        EXPECT_EQ(t % c.homes.size(), h) << user << " serves outside its home";
+      }
+      EXPECT_EQ(served, 1u) << "home " << h << " node " << i;
+    }
+  }
+  for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
+    EXPECT_GE(nodes_of[t], 1u) << spec.tenants[t].name;
+  }
+
+  EXPECT_EQ(r.issued(), schedule.ops.size());
+  for (const TenantStats& ts : r.tenants) {
+    EXPECT_GT(ts.ok[static_cast<std::size_t>(OpKind::store)], 0u) << ts.name;
+    EXPECT_EQ(ts.denied, 0u) << ts.name;
+    EXPECT_EQ(ts.issued_total(), ts.ok_total() + ts.failed + ts.denied) << ts.name;
   }
 }
 
