@@ -1,6 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): the building blocks whose
-// costs underlie every experiment — hashing, the red-black tree, the
-// serializer, the fair-share solver, overlay routing, and the event engine.
+// costs underlie every experiment — hashing, the serializer, the fair-share
+// solver, overlay routing, and the event engine.
 //
 // Besides the console table, the run writes BENCH_micro_substrate.json
 // (schema c4h-bench-v1) with one point per benchmark. These are wall-clock
@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "src/common/rbtree.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/serial.hpp"
 #include "src/common/sha1.hpp"
@@ -38,27 +37,6 @@ void BM_Sha1Throughput(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Sha1Throughput)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_RbTreeInsertErase(benchmark::State& state) {
-  Rng rng{7};
-  RbTree<std::uint64_t, std::uint64_t> t;
-  for (auto _ : state) {
-    const auto k = rng.below(100000);
-    t.insert(k, k);
-    if (t.size() > 4096) t.erase(t.min()->key);
-  }
-}
-BENCHMARK(BM_RbTreeInsertErase);
-
-void BM_RbTreeLookup(benchmark::State& state) {
-  RbTree<std::uint64_t, std::uint64_t> t;
-  for (std::uint64_t k = 0; k < 4096; ++k) t.insert(k * 7919 % 65536, k);
-  Rng rng{9};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(t.find(rng.below(65536)));
-  }
-}
-BENCHMARK(BM_RbTreeLookup);
 
 void BM_SerializeResourceRecord(benchmark::State& state) {
   mon::ResourceRecord rec;

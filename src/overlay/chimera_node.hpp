@@ -3,7 +3,8 @@
 // Chimera [2] is a lightweight C implementation of prefix routing in the
 // style of Tapestry/Pastry. Each node keeps:
 //   * a "logical tree view of other nodes in the overlay, implemented as a
-//     red-black tree" (§III-A) — our RbTree of known peers;
+//     red-black tree" (§III-A) — a std::map of known peers, which libstdc++
+//     implements as a red-black tree;
 //   * a Pastry-style prefix routing table (one row per hex digit of the
 //     40-bit key, one column per digit value);
 //   * a leaf set (nearest ring neighbours on both sides), derived from the
@@ -14,12 +15,13 @@
 #pragma once
 
 #include <array>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/key.hpp"
-#include "src/common/rbtree.hpp"
 #include "src/net/topology.hpp"
 #include "src/vmm/machine.hpp"
 
@@ -70,7 +72,7 @@ class ChimeraNode {
 
   void add_peer(Key k, PeerInfo info) {
     if (k == id_) return;
-    peers_.insert(k, info);
+    peers_.insert_or_assign(k, info);
     // Routing table slot: row = length of shared prefix, column = the
     // peer's digit at that position. First writer wins (Pastry keeps any
     // entry with the right prefix; proximity selection is out of scope).
@@ -94,7 +96,7 @@ class ChimeraNode {
   std::vector<Key> known_peers() const {
     std::vector<Key> out;
     out.reserve(peers_.size());
-    peers_.for_each([&](const Key& k, const PeerInfo&) { out.push_back(k); });
+    for (const auto& [k, info] : peers_) out.push_back(k);
     return out;
   }
 
@@ -115,32 +117,30 @@ class ChimeraNode {
   };
 
   /// The leaf set: up to kLeafRadius ring neighbours on each side, from the
-  /// red-black tree view. With at most 2·kLeafRadius peers it is every peer,
-  /// in key order; otherwise the clockwise neighbours nearest first, then the
+  /// tree view. With at most 2·kLeafRadius peers it is every peer, in key
+  /// order; otherwise the clockwise neighbours nearest first, then the
   /// counter-clockwise ones.
   LeafSet leaf_set() const {
     LeafSet out;
-    const auto n = peers_.size();
-    if (n == 0) return out;
-    if (n <= LeafSet::kCapacity) {
-      peers_.for_each([&](const Key& k, const PeerInfo&) { out.push_back(k); });
+    if (peers_.size() <= LeafSet::kCapacity) {
+      for (const auto& [k, info] : peers_) out.push_back(k);
       return out;
     }
 
     // Clockwise: successors of id_ in key order, wrapping.
-    auto* start = peers_.lower_bound(id_);
-    auto* cur = start;
+    const auto start = peers_.lower_bound(id_);
+    auto cur = start;
     for (int i = 0; i < kLeafRadius; ++i) {
-      if (cur == nullptr) cur = peers_.min();
-      out.push_back(cur->key);
-      cur = Tree::next(cur);
+      if (cur == peers_.end()) cur = peers_.begin();
+      out.push_back(cur->first);
+      ++cur;
     }
     // Counter-clockwise: predecessors, wrapping.
-    cur = start != nullptr ? Tree::prev(start) : peers_.max();
+    cur = start;
     for (int i = 0; i < kLeafRadius; ++i) {
-      if (cur == nullptr) cur = peers_.max();
-      out.push_back(cur->key);
-      cur = Tree::prev(cur);
+      if (cur == peers_.begin()) cur = peers_.end();
+      --cur;
+      out.push_back(cur->first);
     }
     return out;
   }
@@ -149,15 +149,14 @@ class ChimeraNode {
   /// ("a message to its right and left nodes in the logical tree").
   std::optional<Key> right_neighbor() const {
     if (peers_.empty()) return std::nullopt;
-    auto* n = peers_.lower_bound(id_);
-    return n != nullptr ? n->key : peers_.min()->key;
+    const auto n = peers_.lower_bound(id_);
+    return n != peers_.end() ? n->first : peers_.begin()->first;
   }
   std::optional<Key> left_neighbor() const {
     if (peers_.empty()) return std::nullopt;
-    auto* n = peers_.lower_bound(id_);
-    auto* p = n != nullptr ? Tree::prev(n) : peers_.max();
-    if (p == nullptr) p = peers_.max();
-    return p->key;
+    auto n = peers_.lower_bound(id_);
+    if (n == peers_.begin()) n = peers_.end();
+    return std::prev(n)->first;
   }
 
   /// Next hop toward `target`: prefix-routing with leaf-set shortcut and a
@@ -197,13 +196,13 @@ class ChimeraNode {
 
     // Fallback: scan the tree view for any strictly closer node (rare; keeps
     // progress when the table is sparse).
-    peers_.for_each([&](const Key& k, const PeerInfo&) {
+    for (const auto& [k, info] : peers_) {
       const auto d = k.ring_distance(target);
       if (d < best_dist || (d == best_dist && k < best)) {
         best = k;
         best_dist = d;
       }
-    });
+    }
     // Equidistant nodes (one on each side of the key) resolve to the smaller
     // id, matching the global owner definition; this also guarantees the
     // tie-forwarding step cannot cycle.
@@ -213,19 +212,17 @@ class ChimeraNode {
   }
 
   const PeerInfo* peer(Key k) const {
-    auto* n = peers_.find(k);
-    return n != nullptr ? &n->value : nullptr;
+    const auto n = peers_.find(k);
+    return n != peers_.end() ? &n->second : nullptr;
   }
 
  private:
-  using Tree = RbTree<Key, PeerInfo>;
-
   Key id_;
   std::string name_;
   vmm::Host* host_;
   std::uint64_t incarnation_ = 0;
   bool in_ring_ = false;
-  Tree peers_;
+  std::map<Key, PeerInfo> peers_;
   std::array<std::array<std::optional<Key>, 16>, Key::kDigits> rtable_;
 };
 

@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/sim/simulation.hpp"
@@ -51,48 +52,56 @@ class Event {
 /// each item goes to exactly one consumer, in arrival order.
 template <typename T>
 class Channel {
+  struct PopAwaiter;
+
  public:
   explicit Channel(Simulation& sim) : sim_(&sim) {}
 
+  /// Hands the item to the oldest parked consumer, if any, else queues it.
+  /// The hand-off is direct: a ready pop() that runs before the woken
+  /// consumer resumes must not take the item that woke it.
   void push(T item) {
-    items_.push_back(std::move(item));
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_->schedule(Duration::zero(), [h] { h.resume(); });
+    if (waiters_.empty()) {
+      items_.push_back(std::move(item));
+      return;
     }
+    PopAwaiter* w = waiters_.front();
+    waiters_.pop_front();
+    w->handed.emplace(std::move(item));
+    sim_->schedule(Duration::zero(), [h = w->handle] { h.resume(); });
   }
 
+  /// Queued items not yet handed to a consumer.
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
 
   /// co_await pop() — suspends until an item is available.
-  auto pop() {
-    struct Awaiter {
-      Channel& ch;
-      bool await_ready() { return !ch.items_.empty(); }
-      bool await_suspend(std::coroutine_handle<> h) {
-        if (!ch.items_.empty()) return false;  // raced with a push at resume
-        ch.waiters_.push_back(h);
-        return true;
-      }
-      T await_resume() {
-        // An item may have been consumed by another waiter between our
-        // wake-up being scheduled and running; in that case re-check is the
-        // caller's loop's job — but with FIFO wakeups one push resumes one
-        // waiter, so an item is always present here.
-        T v = std::move(ch.items_.front());
-        ch.items_.pop_front();
-        return v;
-      }
-    };
-    return Awaiter{*this};
-  }
+  PopAwaiter pop() { return PopAwaiter{*this}; }
 
  private:
+  // Lives in the awaiting coroutine's frame until it resumes, so push() may
+  // hold a pointer to it while it is parked.
+  struct PopAwaiter {
+    Channel& ch;
+    std::optional<T> handed{};
+    std::coroutine_handle<> handle{};
+
+    bool await_ready() const { return !ch.items_.empty(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      ch.waiters_.push_back(this);
+    }
+    T await_resume() {
+      if (handed.has_value()) return std::move(*handed);
+      T v = std::move(ch.items_.front());
+      ch.items_.pop_front();
+      return v;
+    }
+  };
+
   Simulation* sim_;
-  std::deque<T> items_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<T> items_;  // non-empty only while no consumer is parked
+  std::deque<PopAwaiter*> waiters_;
 };
 
 namespace detail {

@@ -3,17 +3,15 @@
 // conditions".
 //
 // WanEstimator keeps an EWMA of the throughput actually observed on
-// completed cloud transfers (per direction). AdaptiveStoragePolicy derives
-// a size threshold from the current estimate: an object goes to the remote
-// cloud only if shipping it is predicted to finish within a latency budget;
-// when the uplink degrades, the threshold shrinks and large objects stay
-// home automatically.
+// completed cloud transfers (per direction). PlacementEngine derives its
+// cloud-store size threshold from the current upload estimate: an object
+// goes to the remote cloud only if shipping it is predicted to finish within
+// a latency budget, so when the uplink degrades, large objects stay home.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 
 #include "src/common/units.hpp"
-#include "src/vstore/policy.hpp"
 
 namespace c4h::vstore {
 
@@ -49,36 +47,6 @@ class WanEstimator {
   Rate down_;
   std::uint64_t n_up_ = 0;
   std::uint64_t n_down_ = 0;
-};
-
-/// Builds the storage policy for the *current* network conditions: objects
-/// whose predicted upload time exceeds the budget stay in the home cloud.
-class AdaptiveStoragePolicy {
- public:
-  AdaptiveStoragePolicy(const WanEstimator& estimator, Duration upload_budget = seconds(20))
-      : estimator_(&estimator), budget_(upload_budget) {}
-
-  /// Largest object worth sending to the cloud right now.
-  Bytes cloud_threshold() const {
-    const double bytes = estimator_->upload_estimate() * to_seconds(budget_);
-    return static_cast<Bytes>(std::max(bytes, 0.0));
-  }
-
-  /// Materializes a rule set for this instant. Small/acceptable objects go
-  /// remote (shareable data), oversized ones stay home.
-  StoragePolicy current() const {
-    StoragePolicy p;
-    StoreRule small_enough;
-    small_enough.max_size = cloud_threshold();
-    small_enough.target = StoreTarget::remote_cloud;
-    p.rules = {small_enough};
-    p.fallback = StoreTarget::local;
-    return p;
-  }
-
- private:
-  const WanEstimator* estimator_;
-  Duration budget_;
 };
 
 }  // namespace c4h::vstore

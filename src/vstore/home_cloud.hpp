@@ -166,7 +166,8 @@ class HomeCloud {
   net::NetNodeId cloud_endpoint() const { return cloud_ep_; }
 
   /// EWMA of observed home↔cloud throughput, fed by every completed S3
-  /// interaction; drives AdaptiveStoragePolicy (future work (iv)).
+  /// interaction; drives PlacementEngine's cloud-store veto (future work
+  /// (iv)).
   WanEstimator& wan_estimator() { return wan_estimator_; }
 
   /// Online adaptive placement engine backing DecisionPolicy::learned

@@ -6,13 +6,7 @@
 namespace c4h::vstore {
 
 PlacementEngine::PlacementEngine(PlacementEngineConfig config, const WanEstimator& wan)
-    : config_(config),
-      wan_(&wan),
-      learner_(PlacementLearner::Config{.epsilon = config.epsilon,
-                                        .min_pulls_per_arm = config.min_pulls_per_arm,
-                                        .min_gain = config.min_gain},
-               config.seed),
-      rng_(config.seed ^ 0x517cc1b727220a95ULL) {}
+    : config_(config), wan_(&wan), rng_(config.seed ^ 0x517cc1b727220a95ULL) {}
 
 void PlacementEngine::register_metrics(obs::Registry& reg) {
   decisions_counter_ = &reg.counter("c4h.placement.decision.count");
@@ -26,6 +20,36 @@ void PlacementEngine::register_metrics(obs::Registry& reg) {
   explorations_counter_->add(explorations_);
   store_vetoes_counter_->add(store_vetoes_);
   regret_us_counter_->add(static_cast<std::uint64_t>(regret_seconds_ * 1e6));
+}
+
+std::string PlacementEngine::context_of(const services::ServiceProfile& service, Bytes input) {
+  int bucket = 0;
+  double mib = to_mib(input);
+  while (mib >= 1.0) {
+    mib /= 2.0;
+    ++bucket;
+  }
+  return service.registry_key_name() + "@2^" + std::to_string(bucket) + "MiB";
+}
+
+const PlacementEngine::Arm* PlacementEngine::find_arm(const std::string& context,
+                                                      const ExecSite& site) const {
+  const auto st = state_.find(context);
+  if (st == state_.end()) return nullptr;
+  for (const Arm& a : st->second.arms) {
+    if (a.site == site) return &a;
+  }
+  return nullptr;
+}
+
+std::uint64_t PlacementEngine::pulls(const std::string& context, const ExecSite& site) const {
+  const Arm* a = find_arm(context, site);
+  return a != nullptr ? a->pulls : 0;
+}
+
+double PlacementEngine::mean_seconds(const std::string& context, const ExecSite& site) const {
+  const Arm* a = find_arm(context, site);
+  return a != nullptr ? a->mean_seconds : 0;
 }
 
 double PlacementEngine::prior_seconds(const CandidateInfo& c) const {
@@ -45,10 +69,10 @@ double PlacementEngine::prior_seconds(const CandidateInfo& c) const {
 double PlacementEngine::predicted_seconds(const std::string& context,
                                           const CandidateInfo& c) const {
   const double prior = prior_seconds(c);
-  const auto n = static_cast<double>(learner_.pulls(context, c.site));
-  if (n == 0.0) return prior;
-  const double mean = learner_.mean_seconds(context, c.site);
-  return (prior * config_.prior_weight + mean * n) / (config_.prior_weight + n);
+  const Arm* a = find_arm(context, c.site);
+  if (a == nullptr) return prior;
+  const auto n = static_cast<double>(a->pulls);
+  return (prior * config_.prior_weight + a->mean_seconds * n) / (config_.prior_weight + n);
 }
 
 ExecSite PlacementEngine::choose(const std::string& context,
@@ -73,8 +97,7 @@ ExecSite PlacementEngine::choose(const std::string& context,
 
   // Warm-up: any arm below the pull floor gets tried before exploitation.
   for (const auto& c : candidates) {
-    if (learner_.pulls(context, c.site) <
-        static_cast<std::uint64_t>(config_.min_pulls_per_arm)) {
+    if (pulls(context, c.site) < static_cast<std::uint64_t>(config_.min_pulls_per_arm)) {
       ++explorations_;
       count(explorations_counter_);
       return c.site;
@@ -117,12 +140,24 @@ ExecSite PlacementEngine::choose(const std::string& context,
 
 void PlacementEngine::observe(const std::string& context, const ExecSite& site,
                               Duration observed) {
-  learner_.observe(context, site, observed);
-  const auto st = state_.find(context);
-  if (st == state_.end() || !st->second.has_prediction) return;
-  const double regret = std::max(0.0, to_seconds(observed) - st->second.last_best_predicted);
+  ContextState& st = state_[context];
+  auto arm = std::find_if(st.arms.begin(), st.arms.end(),
+                          [&](const Arm& a) { return a.site == site; });
+  if (arm == st.arms.end()) arm = st.arms.insert(st.arms.end(), Arm{.site = site});
+  ++arm->pulls;
+  const double x = to_seconds(observed);
+  const double gain = std::max(1.0 / static_cast<double>(arm->pulls), config_.min_gain);
+  arm->mean_seconds += gain * (x - arm->mean_seconds);
+
+  if (!st.has_prediction) return;
+  const double regret = std::max(0.0, x - st.last_best_predicted);
   regret_seconds_ += regret;
   count(regret_us_counter_, static_cast<std::uint64_t>(regret * 1e6));
+}
+
+Bytes PlacementEngine::cloud_threshold() const {
+  const double bytes = wan_->upload_estimate() * to_seconds(config_.upload_budget);
+  return static_cast<Bytes>(std::max(bytes, 0.0));
 }
 
 bool PlacementEngine::veto_cloud_store(Bytes size) {

@@ -1,7 +1,6 @@
 #include "src/vstore/vstore.hpp"
 
 #include "src/vstore/home_cloud.hpp"
-#include "src/vstore/learner.hpp"
 
 namespace c4h::vstore {
 
@@ -578,7 +577,7 @@ sim::Task<Result<ProcessOutcome>> VStoreNode::process_pipeline(
     // every site but this node), so the requester is part of the context —
     // otherwise one context's incumbent pins a site that is remote for every
     // other requester of the same (service, size) pair.
-    learn_ctx = PlacementLearner::context_of(stages.front(), size) + "@" + chimera_.id().to_string();
+    learn_ctx = PlacementEngine::context_of(stages.front(), size) + "@" + chimera_.id().to_string();
     site = cloud_.placement_engine().choose(learn_ctx, cands, sim.now());
   } else {
     site = cands[choose_candidate(policy, cands)].site;

@@ -1,10 +1,11 @@
 // Adaptation to changing network conditions (§VII future work (iv)):
-// dynamic link capacity, the WAN throughput estimator, and the adaptive
-// storage policy reacting to a brown-out.
+// dynamic link capacity, the WAN throughput estimator, and the placement
+// engine's cloud-store veto reacting to a brown-out.
 #include <gtest/gtest.h>
 
 #include "src/vstore/adaptive.hpp"
 #include "src/vstore/home_cloud.hpp"
+#include "src/vstore/placement_engine.hpp"
 
 namespace c4h::vstore {
 namespace {
@@ -107,27 +108,21 @@ TEST(WanEstimator, IgnoresDegenerateSamples) {
 
 TEST(AdaptivePolicy, ThresholdTracksEstimate) {
   WanEstimator est{0.5, mib_per_sec(1.0), mib_per_sec(1.45)};
-  AdaptiveStoragePolicy pol{est, seconds(20)};
-  const Bytes before = pol.cloud_threshold();
+  PlacementEngine eng{PlacementEngineConfig{}, est};  // 20 s upload budget
+  const Bytes before = eng.cloud_threshold();
   EXPECT_NEAR(to_mib(before), 20.0, 0.5);  // 1 MiB/s × 20 s
 
   // Uplink collapses to ~0.1 MiB/s.
   for (int i = 0; i < 20; ++i) {
     est.observe_upload(1_MB, from_seconds(10.0));
   }
-  EXPECT_LT(pol.cloud_threshold(), before / 5);
+  EXPECT_LT(eng.cloud_threshold(), before / 5);
 
-  ObjectMeta big;
-  big.name = "big";
-  big.size = 10_MB;
-  EXPECT_EQ(pol.current().target_for(big), StoreTarget::local);
-  ObjectMeta tiny;
-  tiny.name = "tiny";
-  tiny.size = 512_KB;
-  EXPECT_EQ(pol.current().target_for(tiny), StoreTarget::remote_cloud);
+  EXPECT_TRUE(eng.veto_cloud_store(10_MB)) << "a big object must stay home";
+  EXPECT_FALSE(eng.veto_cloud_store(512_KB)) << "a tiny one still goes to the cloud";
 }
 
-// --- End-to-end: brown-out makes the adaptive policy keep data home ---
+// --- End-to-end: brown-out makes learned stores keep data home ---
 
 TEST(AdaptiveEndToEnd, BrownOutRedirectsStoresHome) {
   HomeCloudConfig cfg;
@@ -141,8 +136,8 @@ TEST(AdaptiveEndToEnd, BrownOutRedirectsStoresHome) {
   int went_cloud_before = 0, went_cloud_after = 0;
   bool last_went_cloud = true;
   hc.run([&](HomeCloud& h) -> Task<> {
-    AdaptiveStoragePolicy adaptive{h.wan_estimator(), seconds(20)};
-
+    // Every store asks for the remote cloud; under DecisionPolicy::learned
+    // the placement engine vetoes uploads that would blow its 20 s budget.
     auto store_with_adaptive = [&](const std::string& name) -> Task<bool> {
       ObjectMeta m;
       m.name = name;
@@ -150,7 +145,8 @@ TEST(AdaptiveEndToEnd, BrownOutRedirectsStoresHome) {
       m.size = 8_MB;
       (void)co_await h.node(0).create_object(m);
       StoreOptions opts;
-      opts.policy = adaptive.current();
+      opts.policy.fallback = StoreTarget::remote_cloud;
+      opts.decision = DecisionPolicy::learned;
       auto s = co_await h.node(0).store_object(name, opts);
       co_return s.ok() && s->location.is_cloud();
     };
@@ -178,6 +174,8 @@ TEST(AdaptiveEndToEnd, BrownOutRedirectsStoresHome) {
   EXPECT_LT(to_mib_per_sec(hc.wan_estimator().upload_estimate()), 0.5)
       << "estimate must approach the degraded rate";
   EXPECT_GT(hc.wan_estimator().observations(), 0u);
+  EXPECT_EQ(hc.placement_engine().store_vetoes(), static_cast<std::uint64_t>(8 - went_cloud_after))
+      << "every post-brown-out store that stayed home was a veto";
 }
 
 }  // namespace

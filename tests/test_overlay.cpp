@@ -8,10 +8,10 @@
 #include <string>
 #include <vector>
 
-#include "src/common/rbtree.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/overlay/overlay.hpp"
+#include "tests/peer_view_oracle.hpp"
 
 namespace c4h::overlay {
 namespace {
@@ -275,38 +275,6 @@ TEST(ChimeraNode, RemovePeerClearsRoutingSlot) {
   EXPECT_EQ(n.next_hop(p), n.id());  // no peers → self
 }
 
-// Oracle: the vector-building leaf set over a red-black tree of `peers`,
-// kept verbatim from before leaf_set() returned an inline array.
-std::vector<Key> leaf_set_oracle(Key id, const std::vector<Key>& peers) {
-  using Tree = RbTree<Key, PeerInfo>;
-  constexpr int kLeafRadius = ChimeraNode::kLeafRadius;
-  Tree tree;
-  for (const Key k : peers) {
-    if (k != id) tree.insert(k, PeerInfo{});
-  }
-  std::vector<Key> out;
-  const auto n = tree.size();
-  if (n == 0) return out;
-  if (n <= 2 * kLeafRadius) {
-    tree.for_each([&](const Key& k, const PeerInfo&) { out.push_back(k); });
-    return out;
-  }
-  auto* start = tree.lower_bound(id);
-  auto* cur = start;
-  for (int i = 0; i < kLeafRadius; ++i) {
-    if (cur == nullptr) cur = tree.min();
-    out.push_back(cur->key);
-    cur = Tree::next(cur);
-  }
-  cur = start != nullptr ? Tree::prev(start) : tree.max();
-  for (int i = 0; i < kLeafRadius; ++i) {
-    if (cur == nullptr) cur = tree.max();
-    out.push_back(cur->key);
-    cur = Tree::prev(cur);
-  }
-  return out;
-}
-
 TEST(ChimeraNode, LeafSetMatchesVectorOracle) {
   Simulation sim;
   vmm::HostSpec spec;
@@ -332,7 +300,7 @@ TEST(ChimeraNode, LeafSetMatchesVectorOracle) {
           n.add_peer(keys.back(), {});
         }
         const auto leaves = n.leaf_set();
-        EXPECT_EQ(std::vector<Key>(leaves.begin(), leaves.end()), leaf_set_oracle(id, keys))
+        EXPECT_EQ(std::vector<Key>(leaves.begin(), leaves.end()), oracle::leaf_set(id, keys))
             << "id " << id.to_string() << ", " << peers << " peers, trial " << trial;
         ++compared;
       }

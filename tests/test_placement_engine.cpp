@@ -134,8 +134,8 @@ TEST(PlacementEngine, WarmUpPullsCountAsExplorations) {
     eng.observe("ctx", s, seconds(1));
   }
   EXPECT_EQ(eng.explorations(), 4u) << "2 arms × pull floor 2";
-  EXPECT_EQ(eng.learner().pulls("ctx", cands[0].site), 2u);
-  EXPECT_EQ(eng.learner().pulls("ctx", cands[1].site), 2u);
+  EXPECT_EQ(eng.pulls("ctx", cands[0].site), 2u);
+  EXPECT_EQ(eng.pulls("ctx", cands[1].site), 2u);
   // Warm-up satisfied: the next decision exploits (no new exploration).
   (void)eng.choose("ctx", cands, TimePoint{});
   EXPECT_EQ(eng.explorations(), 4u);

@@ -214,6 +214,26 @@ TEST(Channel, PopBeforePushSuspends) {
   EXPECT_EQ(got, "late");
 }
 
+TEST(Channel, ReadyPopCannotTakeAWokenWaitersItem) {
+  // push() wakes the parked consumer, but the wake-up runs later: a second
+  // consumer whose pop() runs in between must not take the item that woke
+  // the first one.
+  Simulation sim;
+  Channel<int> ch{sim};
+  int parked = 0;
+  int second = 0;
+  sim.spawn([](Channel<int>& c, int& out) -> Task<> { out = co_await c.pop(); }(ch, parked));
+  sim.spawn([](Channel<int>& c, int& out) -> Task<> {
+    c.push(7);
+    out = co_await c.pop();
+  }(ch, second));
+  sim.schedule(milliseconds(1), [&ch] { ch.push(8); });
+  sim.run();
+  EXPECT_EQ(parked, 7);
+  EXPECT_EQ(second, 8);
+  EXPECT_TRUE(ch.empty());
+}
+
 Task<> sleep_for(Simulation& sim, Duration d, int& done) {
   co_await sim.delay(d);
   ++done;
