@@ -280,7 +280,7 @@ CellResult run_cell(const ScenarioDef& scn, DecisionPolicy policy, const bench::
 
   CellResult cell;
   constexpr int kRegretSamples = 12;  // fixed-length series, any run duration
-  workload::Driver driver{hc, spec};
+  workload::Driver driver{hc.world(), spec};
   hc.run([](vstore::HomeCloud& h, workload::Driver& d, const workload::WorkloadSpec& sp,
             const ScenarioDef& s, DecisionPolicy pol, CellResult& out,
             int wanted) -> Task<> {
@@ -314,7 +314,7 @@ CellResult run_cell(const ScenarioDef& scn, DecisionPolicy policy, const bench::
     co_await d.drive(workload::generate(sp));
   }(hc, driver, spec, scn, policy, cell, kRegretSamples));
 
-  const obs::Snapshot snap = hc.metrics().snapshot();
+  const obs::Snapshot snap = hc.world().metrics().snapshot();
   for (const auto& [name, h] : snap.histograms) {
     if (name.starts_with("c4h.workload.") && name.find(".latency_ns{") != std::string::npos) {
       cell.latency.merge(h);
@@ -358,7 +358,7 @@ void emit_cell(obs::BenchReport& report, const std::string& scenario, DecisionPo
 
 void run(const bench::BenchArgs& args) {
   bench::header("Ablation — learned vs static placement across the scenario matrix",
-                "ROADMAP item 4; §III-B/§VII learning-based adaptation");
+                "DESIGN.md §15; §III-B/§VII learning-based adaptation");
 
   const std::vector<DecisionPolicy> policies = {
       DecisionPolicy::performance, DecisionPolicy::balanced_utilization,

@@ -55,12 +55,12 @@ void run(const bench::BenchArgs& args) {
   vstore::HomeCloud hc{bench::scenario_config(args)};
   hc.bootstrap();
 
-  workload::Driver driver{hc, spec};
+  workload::Driver driver{hc.world(), spec};
   hc.run([](workload::Driver& d, const workload::Schedule& s) -> Task<> {
     co_await d.drive(s);
   }(driver, schedule));
 
-  bench::print_tenant_table(driver.result(), hc.metrics());
+  bench::print_tenant_table(driver.result(), hc.world().metrics());
 
   obs::BenchReport report("scenario_edonkey_replay", args.seed);
   report.meta("quick", args.quick ? "true" : "false");
@@ -68,7 +68,7 @@ void run(const bench::BenchArgs& args) {
   report.meta("clients", std::to_string(clients));
   report.meta("trace_files", std::to_string(w.files.size()));
   report.meta("trace_ops", std::to_string(schedule.ops.size()));
-  bench::emit_scenario(report, driver.result(), hc.metrics());
+  bench::emit_scenario(report, driver.result(), hc.world().metrics());
 
   std::printf("\nshape checks: zero denied (all-pairs read/write grants); p999 ≫ p50\n");
   std::printf("(Poisson bursts queue multi-second transfers behind each other).\n");

@@ -87,7 +87,7 @@ void run(const bench::BenchArgs& args) {
   federation::GeoFederation fed{city, {.replication = 2}};
   const int tenant_count = static_cast<int>(homes.size());
   const workload::WorkloadSpec spec = make_spec(a, tenant_count);
-  workload::Driver driver{city, fed, spec};
+  workload::Driver driver{city, spec, &fed};
   const workload::Schedule schedule = workload::generate(spec);
   std::printf("city: %d neighborhoods x %d homes x %d nodes; %zu ops, %zu objects\n\n",
               a.neighborhoods, kHomesPerHood, a.nodes, schedule.ops.size(),

@@ -63,7 +63,7 @@ void run_once(const bench::BenchArgs& args, bool crowd, obs::BenchReport& report
   vstore::HomeCloud hc{bench::scenario_config(args)};
   hc.bootstrap();
 
-  workload::Driver driver{hc, spec};
+  workload::Driver driver{hc.world(), spec};
   hc.run([](workload::Driver& d, const workload::WorkloadSpec& sp) -> Task<> {
     const workload::Schedule schedule = workload::generate(sp);
     std::printf("schedule: %zu ops (%zu store / %zu fetch)\n\n", schedule.ops.size(),
@@ -72,7 +72,7 @@ void run_once(const bench::BenchArgs& args, bool crowd, obs::BenchReport& report
     co_await d.drive(schedule);
   }(driver, spec));
 
-  bench::print_tenant_table(driver.result(), hc.metrics());
+  bench::print_tenant_table(driver.result(), hc.world().metrics());
 
   for (const workload::TenantStats& t : driver.result().tenants) {
     const std::string label = std::string(tag) + ":" + t.name;
@@ -80,7 +80,7 @@ void run_once(const bench::BenchArgs& args, bool crowd, obs::BenchReport& report
     report.add(label, "workload.ok", static_cast<double>(t.ok_total()), "count");
     report.add(label, "workload.failed", static_cast<double>(t.failed), "count");
   }
-  const obs::Snapshot snap = hc.metrics().snapshot();
+  const obs::Snapshot snap = hc.world().metrics().snapshot();
   const auto it = snap.histograms.find("c4h.workload.fetch.latency_ns{tenant=crowd}");
   if (it != snap.histograms.end()) {
     obs::add_latency_tails(report, tag, "workload.fetch.latency", it->second);

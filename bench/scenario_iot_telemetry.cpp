@@ -29,7 +29,7 @@ services::ServiceProfile aggregate_profile() {
 
 void run(const bench::BenchArgs& args) {
   bench::header("Scenario — IoT telemetry fan-in",
-                "ROADMAP item 3 / Clome smart-home motivation");
+                "DESIGN.md §11 / Clome smart-home motivation");
 
   const Duration duration = args.quick ? seconds(20) : seconds(90);
 
@@ -68,7 +68,7 @@ void run(const bench::BenchArgs& args) {
   hc.bootstrap();
   hc.registry().add_profile(*dashboard.service);
 
-  workload::Driver driver{hc, spec};
+  workload::Driver driver{hc.world(), spec};
   // The dashboard tenant's nodes (partition: node i → tenant i mod 2) host
   // the aggregation service.
   hc.run([](vstore::HomeCloud& h, workload::Driver& d, const workload::WorkloadSpec& sp,
@@ -86,14 +86,14 @@ void run(const bench::BenchArgs& args) {
     co_await d.drive(schedule);
   }(hc, driver, spec, *dashboard.service));
 
-  bench::print_tenant_table(driver.result(), hc.metrics());
+  bench::print_tenant_table(driver.result(), hc.world().metrics());
 
   obs::BenchReport report("scenario_iot_telemetry", args.seed);
   report.meta("quick", args.quick ? "true" : "false");
   report.meta("nodes", std::to_string(hc.node_count()));
   report.meta("duration_s", std::to_string(static_cast<int>(to_seconds(duration))));
   report.meta("sensor_rate_per_s", std::to_string(spec.tenants[0].arrival.rate_per_sec));
-  bench::emit_scenario(report, driver.result(), hc.metrics());
+  bench::emit_scenario(report, driver.result(), hc.world().metrics());
 
   std::printf("\nshape checks: store volume dominates (fan-in); dashboard process tails\n");
   std::printf("sit above its fetch tails (compute + movement); zero denied/wrong ops.\n");

@@ -32,51 +32,30 @@ HomeNodeSpec HomeCloudConfig::desktop_spec(const std::string& name) {
   return s;
 }
 
-HomeCloud::HomeCloud(HomeCloudConfig config)
-    : config_(std::move(config)),
-      owned_sim_(std::make_unique<sim::Simulation>(config_.seed)),
-      sim_(owned_sim_.get()),
-      owned_topo_(std::make_unique<net::Topology>()),
-      topo_build_(owned_topo_.get()) {
-  // Standalone world: the "internet" is just the cloud endpoint.
-  switch_node_ = topo_build_->add_node();
-  gateway_wan_ = topo_build_->add_node();
-  cloud_ep_ = topo_build_->add_node();
-  topo_build_->add_duplex(switch_node_, gateway_wan_, config_.lan_rate, config_.lan_latency);
-  wan_up_link_ =
-      topo_build_->add_link(gateway_wan_, cloud_ep_, config_.wan_up, config_.wan_latency,
-                            config_.wan_latency_jitter, config_.wan_rate_jitter);
-  wan_down_link_ =
-      topo_build_->add_link(cloud_ep_, gateway_wan_, config_.wan_down, config_.wan_latency,
-                            config_.wan_latency_jitter, config_.wan_rate_jitter);
-  tracer_ = std::make_unique<obs::Tracer>(*sim_, config_.seed);
-  for (int i = 0; i < config_.netbooks; ++i) {
-    add_node(HomeCloudConfig::netbook_spec(config_.home_name + "/netbook-" + std::to_string(i)));
-  }
-  if (config_.with_desktop) {
-    add_node(HomeCloudConfig::desktop_spec(config_.home_name + "/desktop"));
-  }
-}
+HomeCloud::HomeCloud(HomeCloudConfig config) : HomeCloud(nullptr, std::move(config)) {}
 
 HomeCloud::HomeCloud(Neighborhood& hood, HomeCloudConfig config)
-    : config_(std::move(config)),
-      hood_(&hood),
-      sim_(&hood.city().sim()),
-      topo_build_(&hood.city().topology()) {
-  // Federated world: the home's gateway uplinks into the neighborhood's
-  // internet core; the cloud endpoint is the city's.
-  switch_node_ = topo_build_->add_node();
-  gateway_wan_ = topo_build_->add_node();
-  cloud_ep_ = hood.city().cloud_endpoint();
-  topo_build_->add_duplex(switch_node_, gateway_wan_, config_.lan_rate, config_.lan_latency);
-  wan_up_link_ = topo_build_->add_link(gateway_wan_, hood.internet_core(), config_.wan_up,
-                                       config_.wan_latency, config_.wan_latency_jitter,
-                                       config_.wan_rate_jitter);
-  wan_down_link_ = topo_build_->add_link(hood.internet_core(), gateway_wan_, config_.wan_down,
-                                         config_.wan_latency, config_.wan_latency_jitter,
-                                         config_.wan_rate_jitter);
-  tracer_ = std::make_unique<obs::Tracer>(*sim_, config_.seed);
-  hood.register_home(this);
+    : HomeCloud(&hood, std::move(config)) {}
+
+HomeCloud::HomeCloud(Neighborhood* hood, HomeCloudConfig config)
+    : owned_world_(hood == nullptr ? std::make_unique<World>(config.seed) : nullptr),
+      world_(hood == nullptr ? *owned_world_ : hood->city()),
+      config_(std::move(config)),
+      tracer_(world_.sim(), config_.seed),
+      hood_(hood) {
+  net::Topology& topo = world_.topology();
+  switch_node_ = topo.add_node();
+  gateway_wan_ = topo.add_node();
+  // The gateway's uplink ends at the neighborhood's internet core, or, for
+  // a standalone home, at the cloud endpoint: its whole "internet".
+  const net::NetNodeId uplink =
+      hood_ != nullptr ? hood_->internet_core() : world_.add_cloud_endpoint();
+  topo.add_duplex(switch_node_, gateway_wan_, config_.lan_rate, config_.lan_latency);
+  wan_up_link_ = topo.add_link(gateway_wan_, uplink, config_.wan_up, config_.wan_latency,
+                               config_.wan_latency_jitter, config_.wan_rate_jitter);
+  wan_down_link_ = topo.add_link(uplink, gateway_wan_, config_.wan_down, config_.wan_latency,
+                                 config_.wan_latency_jitter, config_.wan_rate_jitter);
+  world_.register_home(hood_ != nullptr ? hood_->city_index() : 0, this);
   for (int i = 0; i < config_.netbooks; ++i) {
     add_node(HomeCloudConfig::netbook_spec(config_.home_name + "/netbook-" + std::to_string(i)));
   }
@@ -89,9 +68,10 @@ HomeCloud::~HomeCloud() = default;
 
 std::size_t HomeCloud::add_node(const HomeNodeSpec& spec) {
   assert(!finalized_ && "add_node must precede bootstrap()");
-  auto host = std::make_unique<vmm::Host>(*sim_, spec.host);
-  const auto nn = topo_build_->add_node();
-  topo_build_->add_duplex(nn, switch_node_, config_.lan_rate, config_.lan_latency);
+  auto host = std::make_unique<vmm::Host>(sim(), spec.host);
+  net::Topology& topo = world_.topology();
+  const auto nn = topo.add_node();
+  topo.add_duplex(nn, switch_node_, config_.lan_rate, config_.lan_latency);
   host->set_net_node(nn);
   hosts_.push_back(std::move(host));
   pending_specs_.push_back(spec);
@@ -102,30 +82,14 @@ void HomeCloud::bootstrap() {
   assert(!finalized_);
   finalized_ = true;
 
-  if (hood_ == nullptr) {
-    owned_net_ = std::make_unique<net::Network>(*sim_, std::move(*owned_topo_));
-    net_ = owned_net_.get();
-    owned_s3_ = std::make_unique<cloud::S3Store>(*net_, cloud_ep_, config_.transport);
-    s3_ = owned_s3_.get();
-    owned_ec2_ = std::make_unique<cloud::Ec2Instance>(
-        *sim_, cloud_ep_, cloud::Ec2Instance::extra_large_spec());
-    ec2_ = owned_ec2_.get();
-  } else {
-    City& city = hood_->city();
-    net_ = &city.network();  // finalizes the shared topology on first call
-    s3_ = &city.s3(config_.transport);
-    ec2_ = &city.ec2();
-  }
-
-  overlay_ = std::make_unique<overlay::Overlay>(*sim_, *net_, config_.overlay);
+  // The first bootstrap in a world builds its network, freezing the
+  // topology; the network's counters land in the world's registry.
+  overlay_ = std::make_unique<overlay::Overlay>(sim(), network(), config_.overlay);
   kv_ = std::make_unique<kv::KvStore>(*overlay_, config_.kv);
   registry_ = std::make_unique<services::ServiceRegistry>(*kv_);
 
-  // Mirror layer activity into this home's registry. The network is only
-  // wired when this home owns it: in a City the net is shared and a
-  // per-home registry would misattribute the other homes' traffic.
+  // Mirror this home's layer activity into its own registry.
   kv_->set_metrics(&metrics_);
-  if (hood_ == nullptr) net_->set_metrics(&metrics_);
   placement_engine_.register_metrics(metrics_);
 
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
@@ -137,7 +101,7 @@ void HomeCloud::bootstrap() {
   }
 
   // Join everyone and publish initial resource records.
-  sim_->run_task([](HomeCloud& hc) -> sim::Task<> {
+  run([](HomeCloud& hc) -> sim::Task<> {
     overlay::ChimeraNode* bootstrap_node = nullptr;
     for (auto& n : hc.nodes_) {
       (void)co_await hc.overlay_->join(n->chimera(), bootstrap_node);
@@ -191,22 +155,54 @@ bool HomeCloud::crash_node(std::size_t i) {
 }
 
 void HomeCloud::restart_node_async(std::size_t i) {
-  sim_->spawn(restart_node(i % nodes_.size()));
+  sim().spawn(restart_node(i % nodes_.size()));
 }
 
-sim::FaultPlan& HomeCloud::enable_chaos(const sim::FaultSpec& spec) {
-  assert(finalized_ && "enable_chaos must follow bootstrap()");
-  sim::FaultPlan& plan = sim::install_fault_plan(*sim_, spec);
+sim::FaultPlan& World::enable_chaos(const sim::FaultSpec& spec) {
+  const std::vector<HomeCloud*> homes = all_homes();
+  for ([[maybe_unused]] const HomeCloud* h : homes) {
+    assert(h->finalized_ && "enable_chaos must follow bootstrap()");
+  }
+  sim::FaultPlan& plan = sim::install_fault_plan(sim(), spec);
 
+  // Victim space: every node of every home, numbered home-major over
+  // all_homes(). Each home's own safety floor still applies: a crash that
+  // could strand a fully-replicated key inside one home is refused, and
+  // the plan moves on.
+  const auto locate = [homes](std::size_t victim) -> std::pair<HomeCloud*, std::size_t> {
+    for (HomeCloud* h : homes) {
+      if (victim < h->node_count()) return {h, victim};
+      victim -= h->node_count();
+    }
+    return {nullptr, 0};
+  };
   sim::ChurnHooks hooks;
-  hooks.victim_count = [this] { return nodes_.size(); };
-  hooks.crash = [this](std::size_t victim) { return crash_node(victim); };
-  hooks.restart = [this](std::size_t victim) { restart_node_async(victim); };
-  hooks.uplink_down = [this](bool down) {
+  hooks.victim_count = [homes] {
+    std::size_t n = 0;
+    for (const HomeCloud* h : homes) n += h->node_count();
+    return n;
+  };
+  hooks.crash = [locate](std::size_t victim) {
+    const auto [home, i] = locate(victim);
+    return home != nullptr && home->crash_node(i);
+  };
+  hooks.restart = [locate](std::size_t victim) {
+    const auto [home, i] = locate(victim);
+    if (home != nullptr) home->restart_node_async(i);
+  };
+  // Uplink flaps rotate across homes: each flap parks one home's WAN (the
+  // next one each time), isolating that home from the wide area while the
+  // rest of the world keeps serving.
+  hooks.uplink_down = [this, homes](bool down) {
+    if (homes.empty()) return;
     if (down) {
-      set_wan_rates(Rate{1.0}, Rate{1.0});  // effectively parked, not severed
-    } else {
-      set_wan_rates(config_.wan_up, config_.wan_down);
+      flapped_home_ = homes[flap_cursor_ % homes.size()];
+      ++flap_cursor_;
+      flapped_home_->set_wan_rates(Rate{1.0}, Rate{1.0});  // effectively parked, not severed
+    } else if (flapped_home_ != nullptr) {
+      const HomeCloudConfig& hc = flapped_home_->config();
+      flapped_home_->set_wan_rates(hc.wan_up, hc.wan_down);
+      flapped_home_ = nullptr;
     }
   };
   plan.start_churn(hooks);

@@ -5,11 +5,13 @@
 // the full software stack (overlay, KV store, monitors, service registry,
 // VStore++ on every node).
 //
-// A HomeCloud normally owns its whole world (simulation, network, public
-// cloud). It can instead be built *into a Neighborhood of a City* — a
-// shared world where several homes uplink into their neighborhood's
-// internet core and share the City's clock, network and public cloud — to
-// model collaborating Cloud4Home infrastructures (§VII (v)).
+// Every home lives in a World (world.hpp): the clock, the network and the
+// public cloud. A standalone HomeCloud owns a private World whose cloud
+// endpoint hangs off the home's gateway. A home can instead be built *into
+// a Neighborhood of a City* — a shared World where several homes uplink
+// into their neighborhood's internet core — to model collaborating
+// Cloud4Home infrastructures (§VII (v)). The two differ only in where the
+// gateway's uplink ends.
 #pragma once
 
 #include <memory>
@@ -31,6 +33,7 @@
 #include "src/vstore/adaptive.hpp"
 #include "src/vstore/placement_engine.hpp"
 #include "src/vstore/vstore.hpp"
+#include "src/vstore/world.hpp"
 
 namespace c4h::vstore {
 
@@ -91,12 +94,13 @@ struct HomeCloudConfig {
 
 class HomeCloud {
  public:
-  /// Standalone home: owns its simulation, network, and public cloud.
+  /// Standalone home: owns a private World (seeded from `config.seed`)
+  /// whose cloud endpoint hangs off this home's gateway.
   explicit HomeCloud(HomeCloudConfig config = {});
 
   /// Federated home: built into a Neighborhood of a City. The home's
-  /// gateway uplinks to the neighborhood's internet core; clock, network
-  /// and S3/EC2 are the City's.
+  /// gateway uplinks to the neighborhood's internet core; the World is the
+  /// City.
   HomeCloud(Neighborhood& hood, HomeCloudConfig config);
 
   ~HomeCloud();
@@ -112,27 +116,28 @@ class HomeCloud {
   /// the control plane is quiescent.
   void bootstrap();
 
-  sim::Simulation& sim() { return *sim_; }
-  net::Network& network() { return *net_; }
+  /// The world this home lives in: its own, or its City.
+  World& world() { return world_; }
+  sim::Simulation& sim() { return world_.sim(); }
+  net::Network& network() { return world_.network(); }
   overlay::Overlay& overlay() { return *overlay_; }
   kv::KvStore& kv() { return *kv_; }
 
   /// This deployment's trace sink. Disabled by default — call
   /// `tracer().set_enabled(true)` to record spans for subsequent operations.
-  obs::Tracer& tracer() { return *tracer_; }
+  obs::Tracer& tracer() { return tracer_; }
 
-  /// This deployment's metrics registry. Always on: the layers record into
-  /// it with O(1) counter/histogram updates.
+  /// This home's metrics registry: its KV, VStore and placement layers
+  /// record into it with O(1) counter/histogram updates. The network is
+  /// the world's, so its counters land in world().metrics().
   obs::Registry& metrics() { return metrics_; }
 
   /// Root trace context for a new operation: null (all recording no-ops)
   /// while the tracer is disabled.
-  obs::Ctx trace_ctx() {
-    return tracer_->enabled() ? obs::Ctx{tracer_.get(), 0} : obs::Ctx{};
-  }
+  obs::Ctx trace_ctx() { return tracer_.enabled() ? obs::Ctx{&tracer_, 0} : obs::Ctx{}; }
 
-  cloud::S3Store& s3() { return *s3_; }
-  cloud::Ec2Instance& ec2() { return *ec2_; }
+  cloud::S3Store& s3() { return world_.s3(config_.transport); }
+  cloud::Ec2Instance& ec2() { return world_.ec2(); }
   services::ServiceRegistry& registry() { return *registry_; }
   const HomeCloudConfig& config() const { return config_; }
   Neighborhood* neighborhood() { return hood_; }
@@ -163,7 +168,7 @@ class HomeCloud {
   /// splice path: no window cap worth modelling, small handshake).
   net::TcpProfile lan_profile() const;
 
-  net::NetNodeId cloud_endpoint() const { return cloud_ep_; }
+  net::NetNodeId cloud_endpoint() const { return world_.cloud_endpoint(); }
 
   /// EWMA of observed home↔cloud throughput, fed by every completed S3
   /// interaction; drives PlacementEngine's cloud-store veto (future work
@@ -178,52 +183,46 @@ class HomeCloud {
   /// Changes the WAN's nominal rates mid-run (brown-outs, congestion);
   /// in-flight transfers adjust immediately.
   void set_wan_rates(Rate up, Rate down) {
-    net_->set_link_capacity(wan_up_link_, up);
-    net_->set_link_capacity(wan_down_link_, down);
+    network().set_link_capacity(wan_up_link_, up);
+    network().set_link_capacity(wan_down_link_, down);
   }
 
-  /// Runs a coroutine to completion on the simulation; periodic background
-  /// processes (monitors, heartbeats) keep running but do not block return.
-  void run(sim::Task<> t) { sim_->run_task(std::move(t)); }
+  /// Runs a coroutine to completion on the world's clock; periodic
+  /// background processes (monitors, heartbeats) keep running but do not
+  /// block return.
+  void run(sim::Task<> t) { world_.run(std::move(t)); }
 
-  /// Arms deterministic fault injection (sim/fault.hpp) across the whole
-  /// deployment and wires the churn hooks: node crash + restart (bounded so
-  /// no key can lose every live copy at once) and WAN uplink flaps. Must
-  /// follow bootstrap(). Returns the installed plan (owned by the
-  /// simulation) for inspection and disarming.
-  sim::FaultPlan& enable_chaos(const sim::FaultSpec& spec);
+ private:
+  /// The one constructor body: `hood` is a federated home's Neighborhood,
+  /// or null for a standalone home, which then owns a private World.
+  HomeCloud(Neighborhood* hood, HomeCloudConfig config);
 
   /// Crash node `i` now, subject to this home's safety floor (refuses when
   /// one more concurrent offline node could strand a fully-replicated key).
-  /// Returns whether the crash happened. Shared by this home's own chaos
-  /// hooks and City-wide churn.
+  /// Returns whether the crash happened. Driven by World::enable_chaos.
   bool crash_node(std::size_t i);
 
   /// Schedules node `i`'s restart (overlay re-join + monitor revival) as a
   /// detached task on the simulation.
   void restart_node_async(std::size_t i);
-
- private:
   sim::Task<> restart_node(std::size_t i);
 
   friend class VStoreNode;
+  friend class World;
+
+  // Declared first, so the World outlives every member below.
+  std::unique_ptr<World> owned_world_;  // standalone only
+  World& world_;
 
   HomeCloudConfig config_;
-
-  std::unique_ptr<obs::Tracer> tracer_;  // constructed once sim_ is known
+  obs::Tracer tracer_;
   obs::Registry metrics_;
 
-  // World: owned when standalone, borrowed from the hood's City otherwise.
   Neighborhood* hood_ = nullptr;
-  std::unique_ptr<sim::Simulation> owned_sim_;
-  sim::Simulation* sim_ = nullptr;
-  std::unique_ptr<net::Topology> owned_topo_;  // standalone, pre-finalize
-  net::Topology* topo_build_ = nullptr;        // where wiring happens
   bool finalized_ = false;
 
   net::NetNodeId switch_node_;
   net::NetNodeId gateway_wan_;  // WAN side of the home gateway
-  net::NetNodeId cloud_ep_;
   net::LinkId wan_up_link_ = 0;
   net::LinkId wan_down_link_ = 0;
   WanEstimator wan_estimator_;
@@ -239,14 +238,8 @@ class HomeCloud {
 
   std::vector<std::unique_ptr<vmm::Host>> hosts_;
   std::vector<HomeNodeSpec> pending_specs_;
-  std::unique_ptr<net::Network> owned_net_;
-  net::Network* net_ = nullptr;
   std::unique_ptr<overlay::Overlay> overlay_;
   std::unique_ptr<kv::KvStore> kv_;
-  std::unique_ptr<cloud::S3Store> owned_s3_;
-  cloud::S3Store* s3_ = nullptr;
-  std::unique_ptr<cloud::Ec2Instance> owned_ec2_;
-  cloud::Ec2Instance* ec2_ = nullptr;
   std::unique_ptr<services::ServiceRegistry> registry_;
   std::vector<std::unique_ptr<VStoreNode>> nodes_;
   std::set<std::string> cloud_services_;

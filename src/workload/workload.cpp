@@ -202,23 +202,14 @@ std::uint64_t DriveResult::wrong() const {
   return n;
 }
 
-Driver::Driver(vstore::HomeCloud& hc, WorkloadSpec spec)
-    : Driver({&hc}, hc.sim(), hc.metrics(), "c4h.workload.", nullptr, std::move(spec)) {}
-
-Driver::Driver(vstore::City& city, federation::GeoFederation& fed, WorkloadSpec spec)
-    : Driver(city.all_homes(), city.sim(), city.metrics(), "c4h.workload.fed_", &fed,
-             std::move(spec)) {}
-
-Driver::Driver(std::vector<vstore::HomeCloud*> homes, sim::Simulation& sim,
-               obs::Registry& metrics, std::string metric_prefix,
-               federation::GeoFederation* fed, WorkloadSpec spec)
-    : homes_(std::move(homes)),
-      sim_(sim),
-      metrics_(metrics),
-      metric_prefix_(std::move(metric_prefix)),
+Driver::Driver(vstore::World& world, WorkloadSpec spec, federation::GeoFederation* fed)
+    : homes_(world.all_homes()),
+      sim_(world.sim()),
+      metrics_(world.metrics()),
+      metric_prefix_(fed != nullptr ? "c4h.workload.fed_" : "c4h.workload."),
       fed_(fed),
       spec_(std::move(spec)),
-      done_(sim) {
+      done_(sim_) {
   const std::size_t tenants = spec_.tenants.size();
   assert(tenants > 0 && !homes_.empty());
   result_.tenants.resize(tenants);

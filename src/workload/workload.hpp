@@ -9,14 +9,14 @@
 //    The schedule is a pure function of the spec (seed included): identical
 //    specs produce byte-identical schedules (Schedule::fingerprint()).
 //
-//  * Driver replays a schedule against one HomeCloud or against a City
-//    through its GeoFederation: it places each tenant in a home and gives it
-//    some of that home's nodes (each node's application VM acts as its
-//    tenant's principal), preloads the catalogs, fires open-loop ops at
-//    their scheduled times (requests do NOT wait for each other — queues
+//  * Driver replays a schedule against the homes of a World (one HomeCloud's,
+//    or a City's through its GeoFederation): it places each tenant in a home
+//    and gives it some of that home's nodes (each node's application VM acts
+//    as its tenant's principal), preloads the catalogs, fires open-loop ops
+//    at their scheduled times (requests do NOT wait for each other — queues
 //    build when the system falls behind, as in production), runs closed-loop
 //    clients with think times, and records per-tenant/per-op latency
-//    histograms into the deployment's obs::Registry for tail-latency
+//    histograms into the World's obs::Registry for tail-latency
 //    (p50/p99/p999) extraction.
 //
 // from_trace() adapts the modified-eDonkey generator (src/trace) into a
@@ -136,23 +136,22 @@ struct DriveResult {
   std::uint64_t wrong() const;
 };
 
-/// Executes a schedule against one HomeCloud, or against a City through a
-/// GeoFederation. Construct, then `run(driver.drive(schedule))` on the
-/// deployment; inspect `result()` afterwards.
+/// Executes a schedule against the homes of a World: one standalone home's
+/// (`hc.world()`), or a City's. With a GeoFederation, stores also publish
+/// into it and fetches go through `fed->fetch`. Construct, then
+/// `run(driver.drive(schedule))` on the world; inspect `result()` afterwards.
 ///
-/// Placement: tenant t lives in home t mod H (`City::all_homes()` order;
+/// Placement: tenant t lives in home t mod H (`World::all_homes()` order;
 /// one home is H = 1), and each home's nodes are dealt round-robin among
 /// the tenants living there, each node's application VM acting as its
 /// tenant's principal. In one home, node i serves tenant i mod T.
 ///
-/// Latencies of successful ops land in the deployment registry as
-/// `c4h.workload.<op>.latency_ns{tenant=<name>}` histograms; in a City, in
-/// the City registry as `c4h.workload.fed_<op>.latency_ns{tenant=<name>}`.
+/// Latencies of successful ops land in the World registry as
+/// `c4h.workload.<op>.latency_ns{tenant=<name>}` histograms, or as
+/// `c4h.workload.fed_<op>.latency_ns{tenant=<name>}` with a federation.
 class Driver {
  public:
-  Driver(vstore::HomeCloud& hc, WorkloadSpec spec);
-  /// Stores also publish into `fed`, and fetches go through `fed.fetch`.
-  Driver(vstore::City& city, federation::GeoFederation& fed, WorkloadSpec spec);
+  Driver(vstore::World& world, WorkloadSpec spec, federation::GeoFederation* fed = nullptr);
 
   /// Preloads every catalog object from its owner's nodes, then replays the
   /// schedule and runs closed-loop clients; completes once every issued op
@@ -162,9 +161,6 @@ class Driver {
   const DriveResult& result() const { return result_; }
 
  private:
-  Driver(std::vector<vstore::HomeCloud*> homes, sim::Simulation& sim, obs::Registry& metrics,
-         std::string metric_prefix, federation::GeoFederation* fed, WorkloadSpec spec);
-
   sim::Task<> preload(const Schedule& s);
   sim::Task<> replay(const Schedule& s);
   sim::Task<> tracked(ScheduledOp op, const Schedule& s);
@@ -176,11 +172,11 @@ class Driver {
   vstore::VStoreNode* pick_node(std::uint32_t tenant);
   obs::LogHistogram& latency_histogram(std::uint32_t tenant, OpKind kind);
 
-  std::vector<vstore::HomeCloud*> homes_;  // City::all_homes() order
+  std::vector<vstore::HomeCloud*> homes_;  // World::all_homes() order
   sim::Simulation& sim_;
   obs::Registry& metrics_;
   std::string metric_prefix_;       // "c4h.workload." or "c4h.workload.fed_"
-  federation::GeoFederation* fed_;  // set in a City
+  federation::GeoFederation* fed_;  // null without a federation
   WorkloadSpec spec_;
   DriveResult result_;
   std::vector<std::vector<vstore::VStoreNode*>> tenant_nodes_;

@@ -110,7 +110,7 @@ ChaosResult run_chaos(std::uint64_t seed) {
   spec.mean_flap_interval = seconds(15);
   spec.mean_flap_duration = seconds(2);
   spec.horizon = seconds(40);
-  sim::FaultPlan& plan = hc.enable_chaos(spec);
+  sim::FaultPlan& plan = hc.world().enable_chaos(spec);
 
   ChaosResult out;
   out.node_count = hc.node_count();
@@ -277,6 +277,29 @@ TEST(ChaosDeterminism, DifferentSeedsDiverge) {
   EXPECT_NE(a.fp, b.fp);
 }
 
+// The one-home chaos outcome, pinned: the two tests above only compare a
+// seed with itself, so a change to how chaos numbers its victims or rotates
+// its flaps would pass them. Any change here must be explained.
+TEST(ChaosDeterminism, OneHomeFingerprintIsPinned) {
+  const Fingerprint fp = run_chaos(7001).fp;
+  EXPECT_EQ(fp.kv_puts, 79u);
+  EXPECT_EQ(fp.kv_gets, 228u);
+  EXPECT_EQ(fp.kv_retries, 10u);
+  EXPECT_EQ(fp.kv_failures, 0u);
+  EXPECT_EQ(fp.kv_send_timeouts, 10u);
+  EXPECT_EQ(fp.net_messages, 1326u);
+  EXPECT_EQ(fp.net_retransmits, 64u);
+  EXPECT_EQ(fp.net_flows, 96u);
+  EXPECT_EQ(fp.dropped, 74u);
+  EXPECT_EQ(fp.duplicated, 30u);
+  EXPECT_EQ(fp.io_errors, 4u);
+  EXPECT_EQ(fp.crashes, 7u);
+  EXPECT_EQ(fp.restarts, 7u);
+  EXPECT_EQ(fp.flaps, 4u);
+  EXPECT_EQ(fp.final_time_ns, 57'196'648'073);
+  EXPECT_EQ(fp.acked, 64u);
+}
+
 // ---------------------------------------------------------------------------
 // Workload-scenario soak: the src/workload generator + Driver running a small
 // two-tenant mix under crash churn and uplink flaps. After the faults settle,
@@ -342,9 +365,9 @@ WorkloadChaosResult run_workload_chaos(std::uint64_t seed) {
   spec.mean_flap_interval = seconds(10);
   spec.mean_flap_duration = seconds(2);
   spec.horizon = seconds(35);
-  sim::FaultPlan& plan = hc.enable_chaos(spec);
+  sim::FaultPlan& plan = hc.world().enable_chaos(spec);
 
-  workload::Driver driver{hc, soak_spec(seed)};
+  workload::Driver driver{hc.world(), soak_spec(seed)};
   WorkloadChaosResult out;
 
   hc.run([](HomeCloud& h, workload::Driver& d, sim::FaultPlan& fp, std::uint64_t sd,
@@ -492,9 +515,9 @@ AdaptiveChaosResult run_adaptive_chaos(std::uint64_t seed) {
   spec.mean_flap_interval = seconds(10);
   spec.mean_flap_duration = seconds(2);
   spec.horizon = seconds(35);
-  sim::FaultPlan& plan = hc.enable_chaos(spec);
+  sim::FaultPlan& plan = hc.world().enable_chaos(spec);
 
-  workload::Driver driver{hc, adaptive_soak_spec(seed)};
+  workload::Driver driver{hc.world(), adaptive_soak_spec(seed)};
   AdaptiveChaosResult out;
 
   hc.run([](HomeCloud& h, workload::Driver& d, sim::FaultPlan& fp, std::uint64_t sd,

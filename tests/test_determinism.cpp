@@ -59,7 +59,7 @@ RunTrace run_once(std::uint64_t seed) {
   spec.mean_crash_interval = seconds(8);
   spec.mean_downtime = seconds(2);
   spec.horizon = seconds(15);
-  hc.enable_chaos(spec);
+  hc.world().enable_chaos(spec);
 
   RunTrace t;
   hc.run([](HomeCloud& h, std::uint64_t sd, RunTrace& tr) -> Task<> {

@@ -6,6 +6,9 @@
 // on a one-neighborhood City.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+
 #include "src/federation/geo_federation.hpp"
 #include "src/sim/sync.hpp"
 
@@ -101,6 +104,21 @@ TEST(CityWorld, SharedClockNetworkAndCloud) {
   EXPECT_EQ(all[1]->config().home_name, "h1-0");
   EXPECT_EQ(all[2]->config().home_name, "h2-0");
   EXPECT_EQ(all[3]->config().home_name, "h0-1");
+  for (int slot = 0; slot < kHomesPerHood; ++slot) {
+    for (int h = 0; h < kHoods; ++h) {
+      EXPECT_EQ(all[static_cast<std::size_t>(slot * kHoods + h)], &rig.home(h, slot));
+    }
+  }
+  // Each neighborhood lists its own homes, in construction order, and
+  // every home's world is the City.
+  for (int h = 0; h < kHoods; ++h) {
+    const std::vector<HomeCloud*>& mine = rig.hoods[static_cast<std::size_t>(h)]->homes();
+    ASSERT_EQ(mine.size(), static_cast<std::size_t>(kHomesPerHood));
+    for (int slot = 0; slot < kHomesPerHood; ++slot) {
+      EXPECT_EQ(mine[static_cast<std::size_t>(slot)], &rig.home(h, slot));
+      EXPECT_EQ(&rig.home(h, slot).world(), &rig.city);
+    }
+  }
 }
 
 TEST(CityWorld, HomesHaveIsolatedMetadata) {
@@ -127,6 +145,164 @@ TEST(CityWorld, SpineLatencyIsGeoDistance) {
   EXPECT_LT(d01, d02);
   EXPECT_LT(d02, d12);
   EXPECT_EQ(rig.city.site_latency(0, 0), Duration::zero());
+}
+
+// --- World: one home registry, one metrics rule, one chaos entry point ------
+
+TEST(World, StandaloneHomeIsTheOnlyHomeOfItsOwnWorld) {
+  HomeCloud hc{CityRig::home_cfg("solo", 7)};
+  hc.bootstrap();
+  EXPECT_EQ(hc.world().all_homes(), std::vector<HomeCloud*>{&hc});
+  EXPECT_EQ(hc.world().homes(0), std::vector<HomeCloud*>{&hc});
+  EXPECT_EQ(&hc.sim(), &hc.world().sim());
+  EXPECT_EQ(&hc.network(), &hc.world().network());
+  EXPECT_EQ(hc.neighborhood(), nullptr);
+}
+
+bool has_net_metric(const obs::Registry& registry) {
+  const obs::Snapshot snap = registry.snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    if (name.starts_with("c4h.net.")) return true;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    if (name.starts_with("c4h.net.")) return true;
+  }
+  for (const auto& [name, hist] : snap.histograms) {
+    if (name.starts_with("c4h.net.")) return true;
+  }
+  return false;
+}
+
+std::uint64_t counter(const obs::Registry& registry, const std::string& name) {
+  const obs::Snapshot snap = registry.snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// The network is the world's, in both worlds: its counters land in the
+// World registry, and a home's registry holds only that home's layers.
+TEST(World, NetworkCountersLandInTheWorldRegistry) {
+  HomeCloud hc{CityRig::home_cfg("solo", 7)};
+  hc.bootstrap();
+  hc.run([](HomeCloud& h) -> Task<> {
+    ObjectMeta m;
+    m.name = "solo/clip.jpg";
+    m.type = "jpg";
+    m.size = 1_MB;
+    (void)co_await h.node(0).create_object(m);
+    vstore::StoreOptions opts;
+    opts.policy.fallback = vstore::StoreTarget::remote_cloud;
+    auto s = co_await h.node(0).store_object(m.name, opts);
+    EXPECT_TRUE(s.ok());
+  }(hc));
+  EXPECT_GT(counter(hc.world().metrics(), "c4h.net.msg.count"), 0u);
+  EXPECT_GT(counter(hc.world().metrics(), "c4h.net.flow.count"), 0u);
+  EXPECT_FALSE(has_net_metric(hc.metrics()));
+
+  CityRig rig{7, 2};
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "city/clip.jpg", 1_MB, /*to_cloud=*/true);
+  }(rig));
+  EXPECT_GT(counter(rig.city.metrics(), "c4h.net.msg.count"), 0u);
+  EXPECT_GT(counter(rig.city.metrics(), "c4h.net.flow.count"), 0u);
+  for (const auto& home : rig.homes) {
+    EXPECT_FALSE(has_net_metric(home->metrics())) << home->config().home_name;
+  }
+}
+
+// What a flaps-only chaos plan does to every home's WAN. Every 10 ms the
+// probe reads the capacities of the links on each home's route from node 0
+// to the cloud endpoint (up) and back (down). A route's bottleneck is its
+// home's WAN link: parked at <= 1 B/s, or at the home's nominal rate.
+struct FlapTrace {
+  std::vector<std::size_t> parked;  // all_homes() index of each park seen
+  std::uint64_t flaps = 0;          // the plan's uplink_flaps
+  int violations = 0;               // polls that broke a rule, per home
+  std::string first_violation;      // the first one, with its time
+};
+
+Rate bottleneck(const net::Topology& topo, const std::vector<net::LinkId>& route) {
+  Rate r = std::numeric_limits<Rate>::infinity();
+  for (const net::LinkId l : route) r = std::min(r, topo.link(l).capacity);
+  return r;
+}
+
+FlapTrace trace_flaps(vstore::World& world) {
+  sim::FaultSpec spec;
+  spec.mean_crash_interval = seconds(86400);
+  spec.mean_flap_interval = seconds(4);
+  spec.mean_flap_duration = seconds(1);
+  spec.horizon = seconds(40);
+  sim::FaultPlan& plan = world.enable_chaos(spec);
+
+  FlapTrace out;
+  world.run([](vstore::World& w, sim::FaultPlan& fp, FlapTrace& t) -> Task<> {
+    const std::vector<HomeCloud*> homes = w.all_homes();
+    const net::Topology& topo = w.network().topology();
+    std::vector<std::vector<net::LinkId>> up;
+    std::vector<std::vector<net::LinkId>> down;
+    for (HomeCloud* h : homes) {
+      const net::NetNodeId n0 = h->node(0).chimera().net_node();
+      up.push_back(topo.route(n0, w.cloud_endpoint()));
+      down.push_back(topo.route(w.cloud_endpoint(), n0));
+    }
+    std::optional<std::size_t> before;  // the home parked at the last poll
+    // A flap that starts before the horizon ends after it.
+    while (w.sim().now() < fp.deadline() + seconds(10)) {
+      std::optional<std::size_t> parked;
+      for (std::size_t h = 0; h < homes.size(); ++h) {
+        const Rate u = bottleneck(topo, up[h]);
+        const Rate d = bottleneck(topo, down[h]);
+        const HomeCloudConfig& cfg = homes[h]->config();
+        const char* broken = nullptr;
+        if ((u <= 1.0) != (d <= 1.0)) {
+          broken = "parked one way";
+        } else if (u <= 1.0) {
+          if (parked.has_value()) broken = "parked with another home";
+          parked = h;
+        } else if (u != cfg.wan_up || d != cfg.wan_down) {
+          broken = "off its nominal WAN rates";
+        }
+        if (broken != nullptr && t.violations++ == 0) {
+          t.first_violation = std::to_string(to_seconds(w.sim().now()))
+                                  .append(" s: ")
+                                  .append(cfg.home_name)
+                                  .append(" ")
+                                  .append(broken);
+        }
+      }
+      if (parked.has_value() && parked != before) t.parked.push_back(*parked);
+      before = parked;
+      co_await w.sim().delay(milliseconds(10));
+    }
+    t.flaps = fp.stats().uplink_flaps;
+  }(world, plan, out));
+  return out;
+}
+
+void expect_flaps_rotate(const FlapTrace& t, std::size_t homes) {
+  EXPECT_EQ(t.violations, 0) << "first: " << t.first_violation;
+  EXPECT_GT(t.flaps, homes);  // every home parked at least once
+  EXPECT_EQ(t.parked.size(), t.flaps) << "a flap went unseen";
+  for (std::size_t k = 0; k < t.parked.size(); ++k) {
+    EXPECT_EQ(t.parked[k], k % homes) << "flap " << k;
+  }
+}
+
+// Seeds are picked so the 10 ms poll cannot miss a flap: at seed 1 the
+// standalone home's 7 flaps each last at least 0.6 s; at seed 7 the City's
+// 8 flaps park homes 0 1 2 3 0 1 2 3.
+TEST(World, UplinkFlapParksAStandaloneHomeBothWays) {
+  HomeCloud hc{CityRig::home_cfg("solo", 1)};
+  hc.bootstrap();
+  expect_flaps_rotate(trace_flaps(hc.world()), 1);
+}
+
+TEST(World, UplinkFlapsRotateAcrossACitysHomes) {
+  CityRig rig{7, 2};
+  const FlapTrace t = trace_flaps(rig.city);
+  expect_flaps_rotate(t, 4);
+  EXPECT_EQ(t.flaps, 8u);
 }
 
 TEST(Neighborhood, HomesShareOneClockAndNetwork) {

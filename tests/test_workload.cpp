@@ -301,7 +301,7 @@ TEST(Driver, OneHomeAccountsForEveryOp) {
   const WorkloadSpec spec = store_fetch_spec(3, 4);
   vstore::HomeCloud hc{small_home("home", 5, 4)};
   hc.bootstrap();
-  Driver driver{hc, spec};
+  Driver driver{hc.world(), spec};
   const Schedule schedule = generate(spec);
   ASSERT_GT(schedule.count(OpKind::store), 0u);
   hc.run(driver.drive(schedule));
@@ -317,7 +317,7 @@ TEST(Driver, OneHomeAccountsForEveryOp) {
   for (const TenantStats& ts : r.tenants) {
     EXPECT_EQ(ts.issued_total(), ts.ok_total() + ts.failed + ts.denied) << ts.name;
     for (const OpKind k : kAllKinds) {
-      EXPECT_EQ(latency_count(hc.metrics(), "c4h.workload.", k, ts.name),
+      EXPECT_EQ(latency_count(hc.world().metrics(), "c4h.workload.", k, ts.name),
                 ts.ok[static_cast<std::size_t>(k)])
           << ts.name << " " << to_string(k);
     }
@@ -337,7 +337,7 @@ TEST(Driver, SkippedOpIsNeverCountedAsIssued) {
   spec.tenants[0].mix = {0.5, 0.0, 0.5, 0.0};
   vstore::HomeCloud hc{small_home("home", 3, 6)};
   hc.bootstrap();
-  Driver driver{hc, spec};
+  Driver driver{hc.world(), spec};
   const Schedule schedule = generate(spec);
   ASSERT_GT(schedule.count(OpKind::process), 0u);
   hc.run(driver.drive(schedule));
@@ -374,7 +374,7 @@ struct SmallCity {
 TEST(Driver, CityPublishesStoresAndFetchesThroughTheFederation) {
   SmallCity c{2};
   const WorkloadSpec spec = store_fetch_spec(2, 8);  // t0 and t1 fetch each other's catalog
-  Driver driver{c.city, *c.fed, spec};
+  Driver driver{c.city, spec, c.fed.get()};
   const Schedule schedule = generate(spec);
   ASSERT_GT(schedule.count(OpKind::store), 0u);
   c.city.run(driver.drive(schedule));
@@ -431,7 +431,7 @@ TEST(Driver, CityWithMoreTenantsThanHomesGivesEachNodeOneTenant) {
     ts.fetch_from.clear();
     ts.mix = {0.7, 0.3, 0.0, 0.0};
   }
-  Driver driver{c.city, *c.fed, spec};
+  Driver driver{c.city, spec, c.fed.get()};
   const Schedule schedule = generate(spec);
   c.city.run(driver.drive(schedule));
   const DriveResult& r = driver.result();
