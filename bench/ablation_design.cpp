@@ -1,21 +1,28 @@
 // Ablation: learned vs static placement (DESIGN.md §15).
 //
 // Replays the DESIGN.md §11 scenario matrix — IoT fan-in, flash crowd, mixed
-// tenants — plus an uplink-flap scenario, once per decision policy
-// (performance / balanced / battery / learned), every run under background
-// contention on the desktop. Static policies trust the monitored records
-// published at bootstrap (stale: the contention starts afterwards); the
-// learned PlacementEngine starts from the same cost model but corrects it
-// online from observed per-phase times, and its WAN-aware store veto keeps
-// uploads home while the uplink is degraded.
+// tenants — plus an uplink-flap scenario, once with a static decision
+// policy and once learned, every run under background contention on the
+// desktop. Static policies trust the monitored records published at
+// bootstrap (stale: the contention starts afterwards); the learned
+// PlacementEngine starts from the same cost model but corrects it online
+// from observed per-phase times, and its WAN-aware store veto keeps uploads
+// home while the uplink is degraded.
+//
+// One static run stands for all three static policies. At bootstrap every
+// node is idle and fully charged, so balanced's load test ties and
+// battery's penalty is 1.0: performance, balanced and battery make the same
+// choices and produce identical cells. The static run uses performance,
+// under the label `static`; ablation_choices §4 is where the static
+// policies differ.
 //
 // The artifact (c4h-bench-v1) carries, per (scenario, policy) cell, the
 // merged workload latency tails (p50/p99/p999) and ok/failed counts; for
 // the learned runs it adds the engine's decision/switch/explore/veto
 // counters, the cumulative regret, and a fixed-length regret time series.
 // Headline acceptance (pinned by tests/test_scenario_golden.cpp): learned
-// is within 5% of the best static policy's p99 on every steady scenario and
-// strictly better than every static policy on the uplink-flap scenario.
+// is within 5% of the static p99 on every steady scenario and strictly
+// better than static on the uplink-flap scenario.
 #include <functional>
 #include <string>
 #include <vector>
@@ -28,14 +35,10 @@ namespace {
 using sim::Task;
 using vstore::DecisionPolicy;
 
+// The static baseline runs performance (see the header); its label names
+// the class it stands for.
 const char* policy_name(DecisionPolicy p) {
-  switch (p) {
-    case DecisionPolicy::performance: return "performance";
-    case DecisionPolicy::balanced_utilization: return "balanced";
-    case DecisionPolicy::battery_aware: return "battery";
-    case DecisionPolicy::learned: return "learned";
-  }
-  return "?";
+  return p == DecisionPolicy::learned ? "learned" : "static";
 }
 
 services::ServiceProfile aggregate_profile() {
@@ -186,7 +189,7 @@ workload::WorkloadSpec mixed_tenants_spec(const bench::BenchArgs& args) {
 // threshold (a handful of stores during the first flap), while the static
 // policies pay it on every one of the ~29 cycles. With ~900 stores, that
 // one-time learning cost sits below the p99 rank and the tail separation is
-// structural, not a bucket accident.
+// structural.
 constexpr Duration kFlapRunDuration = seconds(900);
 constexpr Duration kFlapWarmup = seconds(20);
 constexpr Duration kFlapDown = seconds(6);
@@ -360,15 +363,14 @@ void run(const bench::BenchArgs& args) {
   bench::header("Ablation — learned vs static placement across the scenario matrix",
                 "DESIGN.md §15; §III-B/§VII learning-based adaptation");
 
-  const std::vector<DecisionPolicy> policies = {
-      DecisionPolicy::performance, DecisionPolicy::balanced_utilization,
-      DecisionPolicy::battery_aware, DecisionPolicy::learned};
+  const std::vector<DecisionPolicy> policies = {DecisionPolicy::performance,
+                                                 DecisionPolicy::learned};
 
   obs::BenchReport report("ablation_design", args.seed);
   report.meta("quick", args.quick ? "true" : "false");
   report.meta("nodes", std::to_string(args.nodes));
   report.meta("scenarios", "iot_fanin,flash_crowd,mixed_tenants,uplink_flap");
-  report.meta("policies", "performance,balanced,battery,learned");
+  report.meta("policies", "static,learned");
 
   for (const ScenarioDef& scn : scenario_matrix()) {
     std::printf("\n--- scenario: %s%s ---\n", scn.name, scn.flaps ? " (uplink flaps)" : "");
@@ -396,8 +398,8 @@ void run(const bench::BenchArgs& args) {
   }
 
   bench::emit(report);
-  std::printf("\nacceptance: learned p99 within 5%% of the best static policy on every\n");
-  std::printf("steady scenario, strictly better on uplink_flap (pinned by the golden test).\n");
+  std::printf("\nacceptance: learned p99 within 5%% of static on every steady scenario,\n");
+  std::printf("strictly better on uplink_flap (pinned by the golden test).\n");
 }
 
 }  // namespace

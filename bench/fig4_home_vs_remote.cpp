@@ -16,8 +16,8 @@ using sim::Task;
 constexpr int kReps = 8;
 
 struct Cell {
-  Samples store_s;
-  Samples fetch_s;
+  Accumulator store_s;
+  Accumulator fetch_s;
 };
 
 void run() {

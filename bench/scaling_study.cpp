@@ -34,7 +34,7 @@ void overlay_scaling(obs::BenchReport& report, bool quick) {
     hc.bootstrap();
 
     Accumulator hops;
-    Samples lookup_ms;
+    Accumulator lookup_ms;
     hc.run([&](vstore::HomeCloud& h) -> Task<> {
       // Seed some metadata, then measure lookups from random origins.
       Rng rng{static_cast<std::uint64_t>(n)};

@@ -131,13 +131,15 @@ void run(const bench::BenchArgs& args) {
   for (std::size_t p = 0; p < federation::kFetchPaths; ++p) {
     const std::string label = federation::to_string(static_cast<federation::FetchPath>(p));
     const auto it = snap.histograms.find("c4h.fed2.fetch.latency_ns{path=" + label + "}");
-    const obs::LogHistogram* h = it != snap.histograms.end() ? &it->second : nullptr;
+    std::printf("%-13s | %8llu |", label.c_str(), static_cast<unsigned long long>(fs.fetches[p]));
+    if (it == snap.histograms.end() || it->second.count() == 0) {
+      std::printf(" %9s %9s %9s\n", "-", "-", "-");  // a tier that served nothing
+      continue;
+    }
     const double ms = 1e-6;
-    std::printf("%-13s | %8llu | %9.1f %9.1f %9.1f\n", label.c_str(),
-                static_cast<unsigned long long>(fs.fetches[p]),
-                h != nullptr ? static_cast<double>(h->quantile(50.0)) * ms : 0.0,
-                h != nullptr ? static_cast<double>(h->quantile(99.0)) * ms : 0.0,
-                h != nullptr ? static_cast<double>(h->quantile(99.9)) * ms : 0.0);
+    std::printf(" %9.1f %9.1f %9.1f\n", static_cast<double>(it->second.quantile(50.0)) * ms,
+                static_cast<double>(it->second.quantile(99.0)) * ms,
+                static_cast<double>(it->second.quantile(99.9)) * ms);
   }
   std::printf(
       "\nfederation: %llu published, %llu replicas placed, %llu repairs "

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "src/common/stats.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/vstore/home_cloud.hpp"
 
 using namespace c4h;
@@ -16,7 +17,8 @@ using sim::Task;
 namespace {
 
 struct AlertStats {
-  Samples latency_s;
+  Accumulator latency_s;
+  obs::LogHistogram latency_ns;  // percentiles
   int home_runs = 0;
   int cloud_runs = 0;
   int cloud_stored = 0;
@@ -56,6 +58,7 @@ Task<> camera_loop(vstore::HomeCloud& home, AlertStats& stats, int frames) {
     if (!alert.ok()) continue;
 
     stats.latency_s.add(to_seconds(home.sim().now() - t0));
+    stats.latency_ns.record(static_cast<std::uint64_t>((home.sim().now() - t0).count()));
     if (alert->site.kind == vstore::ExecSite::Kind::ec2) {
       ++stats.cloud_runs;
     } else {
@@ -90,10 +93,12 @@ int main() {
     co_await camera_loop(h, stats, /*frames=*/30);
   }(home));
 
-  std::printf("home surveillance: %zu frames analyzed over %.0f simulated seconds\n",
-              stats.latency_s.count(), to_seconds(home.sim().now()));
+  std::printf("home surveillance: %llu frames analyzed over %.0f simulated seconds\n",
+              static_cast<unsigned long long>(stats.latency_s.count()),
+              to_seconds(home.sim().now()));
   std::printf("  alert latency: mean %.2f s, p95 %.2f s, max %.2f s\n", stats.latency_s.mean(),
-              stats.latency_s.percentile(95), stats.latency_s.max());
+              static_cast<double>(stats.latency_ns.quantile(95.0)) * 1e-9,
+              stats.latency_s.max());
   std::printf("  pipeline ran at home %d times, on EC2 %d times\n", stats.home_runs,
               stats.cloud_runs);
   std::printf("  %d large frames spilled to S3 by the size policy\n", stats.cloud_stored);

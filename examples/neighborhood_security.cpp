@@ -37,7 +37,7 @@ struct WatchStats {
   int events = 0;
   int confirmations = 0;
   int neighborhood_alerts = 0;
-  Samples end_to_end_s;
+  Accumulator end_to_end_s;
 };
 
 }  // namespace

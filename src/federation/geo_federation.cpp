@@ -17,11 +17,10 @@ GeoFederation::GeoFederation(vstore::City& city, GeoConfig config)
     : city_(city), config_(config), partitions_(city.neighborhoods().size()) {
   assert(!partitions_.empty() && "construct GeoFederation after the neighborhoods");
   assert(config_.replication >= 1);
-  // Materialize every per-path metric up front: artifacts then carry all
-  // four rows (zero counts included) and the pointers stay stable.
+  // Materialize every per-path histogram up front, so the pointers stay
+  // stable and a tier that serves nothing still has one (count 0).
   for (std::size_t p = 0; p < kFetchPaths; ++p) {
     const std::string label = to_string(static_cast<FetchPath>(p));
-    fetch_counters_[p] = &city_.metrics().counter("c4h.fed2.fetch{path=" + label + "}");
     fetch_latency_[p] = &city_.metrics().histogram("c4h.fed2.fetch.latency_ns{path=" + label + "}");
   }
 }
@@ -379,7 +378,6 @@ std::string GeoFederation::fingerprint() const {
 void GeoFederation::note_fetch(FetchPath path, Duration total) {
   const auto idx = static_cast<std::size_t>(path);
   ++stats_.fetches[idx];
-  fetch_counters_[idx]->add();
   fetch_latency_[idx]->record(static_cast<std::uint64_t>(total.count()));
 }
 

@@ -172,9 +172,8 @@ class GeoFederation {
   /// Directory shard per neighborhood; ordered for deterministic sweeps.
   std::vector<std::map<std::string, Entry>> partitions_;
   GeoStats stats_;
-  // Cached per-path metrics in the city registry so every path's row exists
-  // in every artifact (zero-count included).
-  std::array<obs::Counter*, kFetchPaths> fetch_counters_{};
+  // Per-path fetch latencies (c4h.fed2.fetch.latency_ns{path=}) in the
+  // city registry; the per-path counts are stats_.fetches.
   std::array<obs::LogHistogram*, kFetchPaths> fetch_latency_{};
 };
 

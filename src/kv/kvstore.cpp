@@ -63,9 +63,7 @@ std::size_t KvStore::under_replicated() {
 sim::Task<Result<void>> KvStore::put(ChimeraNode& origin, Key key, Buffer value,
                                      OverwritePolicy policy, obs::Ctx ctx) {
   ++stats_.puts;
-  if (m_puts_ != nullptr) m_puts_->add();
   auto& sim = overlay_.simulation();
-  const TimePoint started = sim.now();
   obs::ScopedSpan sp(ctx, "kv.put");
   co_await sim.delay(config_.chimera_ipc);  // hand the request to Chimera
 
@@ -82,9 +80,6 @@ sim::Task<Result<void>> KvStore::put(ChimeraNode& origin, Key key, Buffer value,
   }
   co_await sim.delay(config_.chimera_ipc);  // reply crosses back over IPC
   if (!res.ok()) sp.set_error(res.error().message);
-  if (m_put_lat_ != nullptr) {
-    m_put_lat_->record(static_cast<std::uint64_t>((sim.now() - started).count()));
-  }
   co_return res;
 }
 
@@ -175,9 +170,7 @@ sim::Task<Result<std::vector<Buffer>>> KvStore::get_all(ChimeraNode& origin, Key
 
 sim::Task<Result<KvStore::Versions>> KvStore::lookup(ChimeraNode& origin, Key key, obs::Ctx ctx) {
   ++stats_.gets;
-  if (m_gets_ != nullptr) m_gets_->add();
   auto& sim = overlay_.simulation();
-  const TimePoint started = sim.now();
   obs::ScopedSpan sp(ctx, "kv.get");
   co_await sim.delay(config_.chimera_ipc);
 
@@ -192,9 +185,6 @@ sim::Task<Result<KvStore::Versions>> KvStore::lookup(ChimeraNode& origin, Key ke
       ++stats_.local_hits;
       sp.attr("source", "local");
       co_await sim.delay(config_.local_access + config_.chimera_ipc);
-      if (m_get_lat_ != nullptr) {
-        m_get_lat_->record(static_cast<std::uint64_t>((sim.now() - started).count()));
-      }
       // Re-find after the suspension: a concurrent put can rehash the table
       // and churn can erase the entry, either of which invalidates `pit`.
       const auto cur = mine.primary.find(key);
@@ -207,9 +197,6 @@ sim::Task<Result<KvStore::Versions>> KvStore::lookup(ChimeraNode& origin, Key ke
         ++stats_.local_hits;
         sp.attr("source", "cache");
         co_await sim.delay(config_.local_access + config_.chimera_ipc);
-        if (m_get_lat_ != nullptr) {
-          m_get_lat_->record(static_cast<std::uint64_t>((sim.now() - started).count()));
-        }
         // Same revalidation: the cache is mutated by refresh_caches and
         // invalidations that may run while this frame is suspended.
         const auto cur = mine.cache.find(key);
@@ -233,9 +220,6 @@ sim::Task<Result<KvStore::Versions>> KvStore::lookup(ChimeraNode& origin, Key ke
   }
   co_await sim.delay(config_.chimera_ipc);
   if (!res.ok()) sp.set_error(res.error().message);
-  if (m_get_lat_ != nullptr) {
-    m_get_lat_->record(static_cast<std::uint64_t>((sim.now() - started).count()));
-  }
   co_return res;
 }
 
@@ -342,7 +326,6 @@ sim::Task<Result<KvStore::Versions>> KvStore::get_routed(ChimeraNode& origin, Ke
 
 sim::Task<Result<void>> KvStore::erase(ChimeraNode& origin, Key key, obs::Ctx ctx) {
   ++stats_.erases;
-  if (m_erases_ != nullptr) m_erases_->add();
   auto& sim = overlay_.simulation();
   obs::ScopedSpan sp(ctx, "kv.erase");
 
@@ -755,22 +738,6 @@ bool KvStore::has_cache(Key node, Key key) const {
 bool KvStore::has_replica(Key node, Key key) const {
   const auto it = stores_.find(node);
   return it != stores_.end() && it->second.replica.contains(key);
-}
-
-void KvStore::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    m_puts_ = nullptr;
-    m_gets_ = nullptr;
-    m_erases_ = nullptr;
-    m_put_lat_ = nullptr;
-    m_get_lat_ = nullptr;
-    return;
-  }
-  m_puts_ = &registry->counter("c4h.kv.put.count");
-  m_gets_ = &registry->counter("c4h.kv.get.count");
-  m_erases_ = &registry->counter("c4h.kv.erase.count");
-  m_put_lat_ = &registry->histogram("c4h.kv.put.latency_ns");
-  m_get_lat_ = &registry->histogram("c4h.kv.get.latency_ns");
 }
 
 }  // namespace c4h::kv

@@ -35,7 +35,6 @@
 #include "src/common/result.hpp"
 #include "src/common/retry.hpp"
 #include "src/common/serial.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/overlay/overlay.hpp"
 
@@ -127,11 +126,6 @@ class KvStore {
   /// the chaos suite asserts.
   std::size_t under_replicated();
 
-  /// Mirrors operation counts and latencies into a metrics registry
-  /// (c4h.kv.{put,get,erase}.count, c4h.kv.{put,get}.latency_ns).
-  /// Pass nullptr to detach.
-  void set_metrics(obs::Registry* registry);
-
  private:
   /// A key's version list, oldest first. Never mutated once stored, so
   /// every holder shares one list.
@@ -214,11 +208,6 @@ class KvStore {
   Rng rng_;  // backoff jitter; forked from the simulation seed
   std::unordered_map<Key, NodeStore> stores_;  // per overlay node
   KvStats stats_;
-  obs::Counter* m_puts_ = nullptr;         // registered via set_metrics()
-  obs::Counter* m_gets_ = nullptr;
-  obs::Counter* m_erases_ = nullptr;
-  obs::LogHistogram* m_put_lat_ = nullptr;
-  obs::LogHistogram* m_get_lat_ = nullptr;
 };
 
 }  // namespace c4h::kv

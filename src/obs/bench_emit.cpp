@@ -72,6 +72,7 @@ void add_latency_tails(BenchReport& report, const std::string& label,
                        const std::string& metric, const LogHistogram& h) {
   constexpr double kNsToMs = 1e-6;
   report.add(label, metric + ".count", static_cast<double>(h.count()), "count");
+  if (h.count() == 0) return;
   report.add(label, metric + ".mean", h.mean() * kNsToMs, "ms");
   report.add(label, metric + ".p50", static_cast<double>(h.quantile(50.0)) * kNsToMs, "ms");
   report.add(label, metric + ".p99", static_cast<double>(h.quantile(99.0)) * kNsToMs, "ms");

@@ -65,8 +65,10 @@ class BenchReport {
 
 /// Appends the tail-latency rows for one histogram whose samples are
 /// nanoseconds: `<metric>.count`, `.mean`, `.p50`, `.p99`, `.p999` (times in
-/// ms). Quantiles are LogHistogram bucket lower bounds — deterministic,
-/// integer-only, ≤2× relative error — so same-seed runs emit byte-identical
+/// ms). An empty histogram gets only its `.count` row: it measured no
+/// latency, so it reports none. Quantiles are LogHistogram sub-bucket lower
+/// bounds — deterministic, integer-only, never above the exact nearest-rank
+/// value and less than 1/32 below it — so same-seed runs emit byte-identical
 /// tails. This is the c4h-bench-v1 extension the workload scenarios use:
 /// tails, not means, are the tracked production numbers (DESIGN.md §11).
 void add_latency_tails(BenchReport& report, const std::string& label,

@@ -1,19 +1,23 @@
-// Metrics registry — named counters, gauges, and fixed-bucket log-scale
-// histograms, with a snapshot/diff API.
+// Metrics registry — named counters, gauges, and log-linear histograms,
+// with a snapshot/diff API.
 //
 // Naming convention (DESIGN.md §10): `c4h.<layer>.<op>.<stat>`, optionally
-// qualified per node as `c4h.<layer>.<op>.<stat>{node=<name>}`. Hot paths
-// register once and keep the returned pointer, so recording is a single
-// increment; the registry's maps are ordered, so snapshots enumerate in a
-// stable order regardless of registration history.
+// tagged as `...{tenant=<name>}` or `...{path=<tier>}`. Hot paths register
+// once and keep the returned pointer, so recording is a single increment;
+// the registry's maps are ordered, so snapshots enumerate in a stable order
+// regardless of registration history. Only metrics that something reads
+// are registered: a histogram is 15 KB.
 //
-// The histogram is log₂-bucketed: bucket 0 holds the value 0, bucket i
-// (1 ≤ i ≤ 64) holds values v with bit_width(v) == i, i.e. [2^(i-1), 2^i).
-// Quantiles report the lower bound of the bucket containing the target rank
-// — a deterministic, integer-only estimate with ≤ 2× relative error, which
-// is exactly the resolution a latency trajectory across PRs needs.
+// LogHistogram is the repo's one percentile implementation. It is
+// log-linear (HDR-style): values 0–63 each have their own bucket, and every
+// power-of-two range [2^e, 2^(e+1)) with e ≥ 6 is split into 32 equal
+// sub-buckets, so 1920 buckets cover every uint64_t. A quantile reports the
+// lower bound of the sub-bucket holding the nearest-rank value: never above
+// the exact value, exact below 64, and less than 1/32 (3.125%) below it
+// otherwise. It is integer-only, mergeable, diffable and deterministic.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -43,14 +47,22 @@ class Gauge {
 
 class LogHistogram {
  public:
-  static constexpr int kBuckets = 65;
+  static constexpr int kSubBucketBits = 5;  // 32 linear sub-buckets per octave
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;
+  // 64 single-value buckets, then kSubBuckets for each shift 1..58: 1920.
+  static constexpr int kBuckets = (65 - kSubBucketBits) * kSubBuckets;
 
+  /// Values below 2·kSubBuckets are their own index. Above, the shift drops
+  /// all but the top kSubBucketBits + 1 bits, so `v >> shift` lies in
+  /// [kSubBuckets, 2·kSubBuckets) and each shift owns kSubBuckets indices.
   static int bucket_index(std::uint64_t v) {
-    return v == 0 ? 0 : std::bit_width(v);
+    const int shift = std::max(0, static_cast<int>(std::bit_width(v)) - (kSubBucketBits + 1));
+    return (shift << kSubBucketBits) + static_cast<int>(v >> shift);
   }
-  /// Smallest value the bucket can hold (0 for bucket 0, else 2^(i-1)).
+  /// Smallest value the bucket can hold; bucket_index(bucket_low(i)) == i.
   static std::uint64_t bucket_low(int i) {
-    return i == 0 ? 0 : (std::uint64_t{1} << (i - 1));
+    const int shift = std::max(0, (i >> kSubBucketBits) - 1);
+    return static_cast<std::uint64_t>(i - (shift << kSubBucketBits)) << shift;
   }
 
   void record(std::uint64_t v) {
@@ -104,7 +116,7 @@ class Registry {
   Gauge& gauge(const std::string& name);
   LogHistogram& histogram(const std::string& name);
 
-  /// `c4h.vstore.fetch.count` + `home-1` → `c4h.vstore.fetch.count{node=home-1}`.
+  /// `c4h.test.op.count` + `home-1` → `c4h.test.op.count{node=home-1}`.
   static std::string qualify(const std::string& name, const std::string& node) {
     return name + "{node=" + node + "}";
   }

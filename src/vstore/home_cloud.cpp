@@ -88,8 +88,6 @@ void HomeCloud::bootstrap() {
   kv_ = std::make_unique<kv::KvStore>(*overlay_, config_.kv);
   registry_ = std::make_unique<services::ServiceRegistry>(*kv_);
 
-  // Mirror this home's layer activity into its own registry.
-  kv_->set_metrics(&metrics_);
   placement_engine_.register_metrics(metrics_);
 
   for (std::size_t i = 0; i < hosts_.size(); ++i) {

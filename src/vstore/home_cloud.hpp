@@ -127,9 +127,9 @@ class HomeCloud {
   /// `tracer().set_enabled(true)` to record spans for subsequent operations.
   obs::Tracer& tracer() { return tracer_; }
 
-  /// This home's metrics registry: its KV, VStore and placement layers
-  /// record into it with O(1) counter/histogram updates. The network is
-  /// the world's, so its counters land in world().metrics().
+  /// This home's metrics registry: its placement engine's counters
+  /// (c4h.placement.*). The network is the world's, so its counters land
+  /// in world().metrics().
   obs::Registry& metrics() { return metrics_; }
 
   /// Root trace context for a new operation: null (all recording no-ops)

@@ -27,16 +27,6 @@ VStoreNode::VStoreNode(HomeCloud& cloud, overlay::ChimeraNode& chimera, vmm::Dom
   monitor_ = std::make_unique<mon::ResourceMonitor>(chimera_, cloud_.kv(), watcher,
                                                     cloud.config().monitor);
   monitor_->set_uplink_estimate(cloud.config().lan_rate);
-
-  // Per-node operation metrics, qualified with the node name so a snapshot
-  // separates the nodes of one deployment.
-  obs::Registry& reg = cloud_.metrics();
-  const std::string& node = chimera_.name();
-  m_stores_ = &reg.counter(obs::Registry::qualify("c4h.vstore.store.count", node));
-  m_fetches_ = &reg.counter(obs::Registry::qualify("c4h.vstore.fetch.count", node));
-  m_processes_ = &reg.counter(obs::Registry::qualify("c4h.vstore.process.count", node));
-  m_store_total_ = &reg.histogram(obs::Registry::qualify("c4h.vstore.store.total_ns", node));
-  m_fetch_total_ = &reg.histogram(obs::Registry::qualify("c4h.vstore.fetch.total_ns", node));
 }
 
 obs::Ctx VStoreNode::op_ctx(obs::Ctx parent) {
@@ -206,7 +196,6 @@ sim::Task<Result<StoreOutcome>> VStoreNode::store_object(const std::string& name
   auto& sim = cloud_.sim();
   const TimePoint t0 = sim.now();
   StoreOutcome out;
-  if (m_stores_ != nullptr) m_stores_->add();
   obs::ScopedSpan sp(op_ctx(parent), "vstore.store");
   sp.attr("object", name);
 
@@ -283,9 +272,6 @@ sim::Task<Result<StoreOutcome>> VStoreNode::store_object(const std::string& name
   StoreOutcome full = *done;
   co_await command_round_trip(sp.ctx());  // the blocking store's extra acknowledgement
   full.total = sim.now() - t0;
-  if (m_store_total_ != nullptr) {
-    m_store_total_->record(static_cast<std::uint64_t>(full.total.count()));
-  }
   co_return full;
 }
 
@@ -389,7 +375,6 @@ sim::Task<Result<FetchOutcome>> VStoreNode::fetch_object(const std::string& name
                                                          obs::Ctx parent) {
   auto& sim = cloud_.sim();
   const TimePoint t0 = sim.now();
-  if (m_fetches_ != nullptr) m_fetches_->add();
   obs::ScopedSpan sp(op_ctx(parent), "vstore.fetch");
   sp.attr("object", name);
 
@@ -424,9 +409,6 @@ sim::Task<Result<FetchOutcome>> VStoreNode::fetch_object(const std::string& name
 
   co_await command_round_trip(sp.ctx());
   out.total = sim.now() - t0;
-  if (m_fetch_total_ != nullptr) {
-    m_fetch_total_->record(static_cast<std::uint64_t>(out.total.count()));
-  }
   co_return out;
 }
 
@@ -459,7 +441,6 @@ sim::Task<Result<ProcessOutcome>> VStoreNode::process_pipeline(
   const TimePoint t0 = sim.now();
   ProcessOutcome out;
   if (stages.empty()) co_return Error{Errc::invalid_argument, "empty pipeline"};
-  if (m_processes_ != nullptr) m_processes_->add();
   obs::ScopedSpan sp(op_ctx(parent), "vstore.process");
   sp.attr("object", name);
   sp.attr("stages", static_cast<std::uint64_t>(stages.size()));

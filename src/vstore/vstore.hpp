@@ -25,7 +25,6 @@
 #include "src/common/rng.hpp"
 #include "src/kv/kvstore.hpp"
 #include "src/mon/monitor.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/overlay/overlay.hpp"
 #include "src/services/registry.hpp"
@@ -196,13 +195,6 @@ class VStoreNode {
   Principal principal_;
   Rng rng_;  // retry-backoff jitter; forked from the simulation seed
   VStoreNodeStats stats_;
-  // Per-node operation metrics (qualified `name{node=...}`), registered on
-  // the deployment's registry at construction.
-  obs::Counter* m_stores_ = nullptr;
-  obs::Counter* m_fetches_ = nullptr;
-  obs::Counter* m_processes_ = nullptr;
-  obs::LogHistogram* m_fetch_total_ = nullptr;
-  obs::LogHistogram* m_store_total_ = nullptr;
 };
 
 }  // namespace c4h::vstore

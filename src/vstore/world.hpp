@@ -36,8 +36,8 @@ class World {
   sim::Simulation& sim() { return sim_; }
 
   /// World-scope metrics: the network's counters, the workload driver's
-  /// latencies and, in a City, the federation's counters. Each home's own
-  /// layers (KV, VStore, placement) record into HomeCloud::metrics().
+  /// latencies and, in a City, the federation's per-path fetch latencies.
+  /// Each home's placement engine records into HomeCloud::metrics().
   obs::Registry& metrics() { return metrics_; }
 
   /// Topology is open for wiring until the first network() finalizes it.

@@ -1,7 +1,7 @@
-// End-to-end tests for tools/bench-compare exit codes, focused on the
-// missing-baseline gate: a fresh artifact with no baseline file must not be
-// silently waved through (exit 3 + one-line summary), while matching and
-// drifting artifacts keep their existing codes (0 and 1).
+// End-to-end tests for tools/bench-compare exit codes: a fresh artifact with
+// no baseline file must not be silently waved through (exit 3 + one-line
+// summary), a drifting value or a changed row set fails (exit 1, naming the
+// row), and a matching artifact is clean (exit 0).
 //
 // The binary path is injected by CMake as C4H_BENCH_COMPARE_BIN.
 #include <gtest/gtest.h>
@@ -39,11 +39,19 @@ CompareRun compare(const std::string& args) {
   return run;
 }
 
-// A tiny valid c4h-bench-v1 artifact with a single simulated row.
-std::string artifact_json(const std::string& bench, double value) {
+std::string row_json(const std::string& metric, double value) {
+  return "{\"label\":\"n=8\",\"metric\":\"" + metric + "\",\"value\":" +
+         std::to_string(value) + ",\"unit\":\"ms\"}";
+}
+
+// A tiny valid c4h-bench-v1 artifact with a single simulated row, plus an
+// optional second row `extra_metric`.
+std::string artifact_json(const std::string& bench, double value,
+                          const std::string& extra_metric = "") {
+  std::string series = row_json("fetch_ms", value);
+  if (!extra_metric.empty()) series.append(",").append(row_json(extra_metric, 1.0));
   return "{\"schema\":\"c4h-bench-v1\",\"bench\":\"" + bench +
-         "\",\"seed\":42,\"series\":[{\"label\":\"n=8\",\"metric\":\"fetch_ms\",\"value\":" +
-         std::to_string(value) + ",\"unit\":\"ms\"}]}";
+         "\",\"seed\":42,\"series\":[" + series + "]}";
 }
 
 // Scratch layout: <tmp>/<name>/{baselines/,fresh/}. Returns the root.
@@ -79,6 +87,31 @@ TEST(BenchCompare, SimulatedDriftFails) {
       compare("--baseline " + root + "/baselines " + root + "/fresh/BENCH_demo.json");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_TRUE(r.contains("DRIFT")) << r.output;
+}
+
+TEST(BenchCompare, NewRowIsDrift) {
+  // Baselines are the artifacts of the exact invocations CI runs, so a row
+  // with no baseline counterpart is a change to rebaseline deliberately.
+  const std::string root = make_scratch("bc_new_row");
+  write_file(root + "/baselines/BENCH_demo.json", artifact_json("demo", 12.5));
+  write_file(root + "/fresh/BENCH_demo.json", artifact_json("demo", 12.5, "store_ms"));
+  const CompareRun r =
+      compare("--baseline " + root + "/baselines " + root + "/fresh/BENCH_demo.json");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_TRUE(r.contains("new row (no baseline): n=8 / store_ms")) << r.output;
+  EXPECT_TRUE(r.contains("1 fresh-only")) << r.output;
+}
+
+TEST(BenchCompare, VanishedRowIsDrift) {
+  // A bench that silently stops emitting a row must not stay green.
+  const std::string root = make_scratch("bc_vanished_row");
+  write_file(root + "/baselines/BENCH_demo.json", artifact_json("demo", 12.5, "store_ms"));
+  write_file(root + "/fresh/BENCH_demo.json", artifact_json("demo", 12.5));
+  const CompareRun r =
+      compare("--baseline " + root + "/baselines " + root + "/fresh/BENCH_demo.json");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_TRUE(r.contains("vanished row (not in fresh artifact): n=8 / store_ms")) << r.output;
+  EXPECT_TRUE(r.contains("1 baseline-only")) << r.output;
 }
 
 TEST(BenchCompare, MissingBaselineIsADistinctFailure) {

@@ -116,7 +116,7 @@ TEST(Central, LookupIsFlatTwoMessages) {
   // Centralized lookups cost one round trip regardless of which node asks —
   // cheaper than a cold DHT route, with none of the DHT's cache benefits.
   Rig rig{6};
-  Samples lat;
+  Accumulator lat;
   rig.sim.run_task([&lat](Rig& r) -> Task<> {
     (void)co_await r.central->put(*r.nodes[1], Key::from_name("hot"), Buffer(100, 1));
     for (int i = 0; i < 10; ++i) {

@@ -109,7 +109,7 @@ TEST(S3, RemoteLatencyFarExceedsLan) {
   // Fig 4's core claim: remote accesses are much slower and more variable
   // than LAN accesses for the same sizes.
   Rig rig{{}, /*wan_jitter=*/0.5};
-  Samples remote;
+  Accumulator remote;
   for (int i = 0; i < 12; ++i) {
     rig.run([i, &remote](Rig& r) -> Task<> {
       const auto t0 = r.sim.now();

@@ -2,6 +2,8 @@
 // stats, Result.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +16,7 @@
 #include "src/common/sha1.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/units.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace c4h {
 namespace {
@@ -295,27 +298,29 @@ TEST(Stats, AccumulatorBasics) {
   EXPECT_EQ(a.max(), 9.0);
 }
 
+// Percentiles come from the one histogram, obs::LogHistogram: nearest rank,
+// reported as the lower bound of the sub-bucket holding that rank's value.
 TEST(Stats, SamplesPercentiles) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.percentile(50), 50.5, 0.01);
-  EXPECT_NEAR(s.percentile(0), 1.0, 0.01);
-  EXPECT_NEAR(s.percentile(100), 100.0, 0.01);
-  EXPECT_NEAR(s.percentile(95), 95.05, 0.2);
+  obs::LogHistogram h;
+  for (std::uint64_t i = 1; i <= 100; ++i) h.record(i);
+  EXPECT_EQ(h.quantile(50), 50u);   // below 64 every value is its own bucket
+  EXPECT_EQ(h.quantile(0), 1u);
+  EXPECT_EQ(h.quantile(100), 100u);  // [100, 102) starts at the value itself
+  EXPECT_EQ(h.quantile(95), 94u);    // rank 95 lies in [94, 96)
 }
 
 TEST(Stats, HistogramBuckets) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(-1);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
+  obs::LogHistogram h;
+  h.record(0);
+  h.record(63);
+  h.record(64);
+  h.record(65);  // shares [64, 66) with 64
+  h.record(std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 5u);
+  EXPECT_EQ(h.bucket(63), 1u);
+  EXPECT_EQ(h.bucket(64), 2u);
+  EXPECT_EQ(h.bucket(obs::LogHistogram::kBuckets - 1), 1u);
+  EXPECT_EQ(h.count(), 5u);
 }
 
 // --- Units ---

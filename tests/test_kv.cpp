@@ -469,7 +469,7 @@ TEST(Kv, LookupLatencyIsConstantInValueSizeRegime) {
     const Key k = Key::from_name("meta");
     (void)co_await r.kv->put(*r.nodes[0], k, buf(std::string(200, 'm')));
     KvConfig cfg;  // defaults
-    Samples lat;
+    Accumulator lat;
     for (int i = 0; i < 10; ++i) {
       // Alternate origins to avoid pure local hits.
       auto* origin = r.nodes[static_cast<std::size_t>(1 + (i % 5))];

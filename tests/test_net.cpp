@@ -451,7 +451,7 @@ TEST(Network, JitteredLinkProducesVariableRates) {
   Simulation sim{7};
   Network net{sim, std::move(t)};
   net.set_hop_processing(Duration::zero());
-  Samples times;
+  Accumulator times;
   for (int i = 0; i < 30; ++i) {
     Duration took{};
     sim.spawn(timed_transfer(net, sim, a, b, 1000 * 1000, took));

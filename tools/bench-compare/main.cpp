@@ -5,22 +5,21 @@
 // that simulated series are a pure function of the seed, so any numeric
 // drift in them is a behavior change that must be explained and re-baselined
 // deliberately — CI fails. Host-side cost series (units suffixed "-wall",
-// e.g. "ms-wall"/"mb-wall") are advisory: regressions print warnings but
-// never fail the build, because wall-clock and RSS depend on the runner.
+// e.g. "ms-wall"/"mb-wall") are advisory: a value above 1.5x its baseline
+// prints a warning but never fails the build, because wall-clock and RSS
+// depend on the runner.
 //
-//   bench-compare --baseline <dir> <fresh.json...> [--tol 1e-9]
-//                 [--wall-slack 1.5] [--require-all]
+//   bench-compare --baseline <dir> <fresh.json...>
 //
-// Exit codes: 0 = clean (warnings allowed), 1 = simulated drift (or missing
-// rows under --require-all), 2 = usage / IO / parse error, 3 = a fresh
-// artifact has no baseline file at all (a new bench must be baselined
-// deliberately, not silently waved through).
+// Exit codes: 0 = clean (warnings allowed), 1 = simulated drift, 2 = usage /
+// IO / parse error, 3 = a fresh artifact has no baseline file at all (a new
+// bench must be baselined deliberately, not silently waved through).
 //
-// A fresh artifact may carry a *subset* of the baseline's rows (the --quick
-// lanes run shortened sweeps; every label they do produce is seed-identical
-// to the full run), so only the intersection is compared and the skip count
-// is reported. A fresh row with no baseline counterpart is a new metric:
-// reported, and only fatal with --require-all.
+// A simulated value drifts when it differs from its baseline by more than
+// 1e-9 relative (absolute below 1). Every baseline is the artifact of the
+// exact invocation CI runs, so the two row sets must be equal too: a row on
+// only one side — a new metric, or one a bench silently stopped emitting —
+// is drift, and is named in the output.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -115,20 +114,13 @@ void print_key(const std::string& key) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr double kTol = 1e-9;        // relative, absolute below 1
+  constexpr double kWallSlack = 1.5;   // advisory "-wall" warning threshold
   std::string baseline_dir;
-  double tol = 1e-9;
-  double wall_slack = 1.5;
-  bool require_all = false;
   std::vector<std::string> fresh;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       baseline_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc) {
-      tol = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--wall-slack") == 0 && i + 1 < argc) {
-      wall_slack = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--require-all") == 0) {
-      require_all = true;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "bench-compare: unknown flag %s\n", argv[i]);
       return 2;
@@ -137,9 +129,7 @@ int main(int argc, char** argv) {
     }
   }
   if (baseline_dir.empty() || fresh.empty()) {
-    std::fprintf(stderr,
-                 "usage: bench-compare --baseline <dir> <fresh.json...> "
-                 "[--tol 1e-9] [--wall-slack 1.5] [--require-all]\n");
+    std::fprintf(stderr, "usage: bench-compare --baseline <dir> <fresh.json...>\n");
     return 2;
   }
 
@@ -174,30 +164,28 @@ int main(int argc, char** argv) {
     for (const auto& [key, p] : now.points) {
       const auto it = base.points.find(key);
       if (it == base.points.end()) {
+        std::printf("  DRIFT: new row (no baseline): ");
+        print_key(key);
+        std::printf("\n");
         ++fresh_only;
-        if (require_all) {
-          std::printf("  new row (no baseline): ");
-          print_key(key);
-          std::printf("\n");
-          ++file_drift;
-        }
+        ++file_drift;
         continue;
       }
       ++compared;
       const Point& b = it->second;
       if (wall_unit(p.unit) || wall_unit(b.unit)) {
         // Host-cost series: advisory only.
-        if (b.value > 0 && p.value > b.value * wall_slack) {
+        if (b.value > 0 && p.value > b.value * kWallSlack) {
           std::printf("  warn: ");
           print_key(key);
           std::printf(" wall cost %.2f %s vs baseline %.2f (> %.2fx)\n", p.value, p.unit.c_str(),
-                      b.value, wall_slack);
+                      b.value, kWallSlack);
           ++warnings;
         }
         continue;
       }
       const double scale = std::max(1.0, std::fabs(b.value));
-      if (std::fabs(p.value - b.value) > tol * scale || p.unit != b.unit) {
+      if (std::fabs(p.value - b.value) > kTol * scale || p.unit != b.unit) {
         std::printf("  DRIFT: ");
         print_key(key);
         std::printf(" baseline %.17g %s, fresh %.17g %s\n", b.value, b.unit.c_str(), p.value,
@@ -205,9 +193,15 @@ int main(int argc, char** argv) {
         ++file_drift;
       }
     }
-    // Baseline rows missing from fresh are expected under --quick; count
-    // them so a silently shrinking sweep is at least visible.
-    const int baseline_only = static_cast<int>(base.points.size()) - compared;
+    int baseline_only = 0;
+    for (const auto& [key, b] : base.points) {
+      if (now.points.contains(key)) continue;
+      std::printf("  DRIFT: vanished row (not in fresh artifact): ");
+      print_key(key);
+      std::printf("\n");
+      ++baseline_only;
+      ++file_drift;
+    }
     std::printf("%-28s %s  (%d compared, %d baseline-only, %d fresh-only)\n", now.bench.c_str(),
                 file_drift == 0 ? "ok" : "FAIL", compared, baseline_only, fresh_only);
     drift += file_drift;
