@@ -100,7 +100,7 @@ void run(const bench::BenchArgs& args) {
   run_once(args, /*crowd=*/true, report);
   bench::emit(report);
 
-  std::printf("\nshape checks: identical schedules outside the crowd window; the\n");
+  std::printf("\nshape checks: identical schedules before the crowd window; the\n");
   std::printf("flash run's fetch p99/p999 sit above the steady run's.\n");
 }
 

@@ -1,6 +1,7 @@
-# One binary per paper table/figure, plus substrate microbenchmarks and
-# design ablations. Declared at top-level scope with a dedicated runtime
-# output directory so build/bench/ contains ONLY executables:
+# One binary per paper table/figure, plus design ablations, the scaling
+# study and the workload scenarios. Declared at top-level scope with a
+# dedicated runtime output directory so build/bench/ contains ONLY
+# executables:
 #   for b in build/bench/*; do $b; done
 # regenerates the full evaluation with no stray files.
 
@@ -21,8 +22,6 @@ c4h_bench(fig8_dynamic_routing c4h_vstore)
 c4h_bench(ablation_design c4h_vstore c4h_workload)
 c4h_bench(ablation_choices c4h_vstore c4h_trace)
 c4h_bench(scaling_study c4h_vstore)
-c4h_bench(micro_substrate c4h_mon c4h_overlay)
-target_link_libraries(micro_substrate PRIVATE benchmark::benchmark)
 
 # Workload scenario family (DESIGN.md §11): multi-tenant traffic against the
 # full home cloud, emitting tail-latency (p50/p99/p999) series.

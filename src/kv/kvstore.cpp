@@ -4,6 +4,7 @@
 #include <set>
 
 #include "src/common/ordered.hpp"
+#include "src/sim/retry.hpp"
 
 namespace c4h::kv {
 
@@ -67,17 +68,10 @@ sim::Task<Result<void>> KvStore::put(ChimeraNode& origin, Key key, Buffer value,
   obs::ScopedSpan sp(ctx, "kv.put");
   co_await sim.delay(config_.chimera_ipc);  // hand the request to Chimera
 
-  Result<void> res = Error{Errc::unavailable, "not attempted"};
-  for (int attempt = 1;; ++attempt) {
-    res = co_await put_attempt(origin, key, value, policy, sp.ctx());
-    if (res.ok() || !RetryPolicy::transient(res.code())) break;
-    if (attempt >= config_.retry.max_attempts) {
-      ++stats_.op_failures;
-      break;
-    }
-    ++stats_.op_retries;
-    co_await sim.delay(config_.retry.backoff(attempt, rng_));
-  }
+  Result<void> res = co_await sim::retry<Result<void>>(
+      sim, rng_, [&] { return put_attempt(origin, key, value, policy, sp.ctx()); },
+      [&] { ++stats_.op_retries; });
+  if (!res.ok() && sim::transient(res.code())) ++stats_.op_failures;
   co_await sim.delay(config_.chimera_ipc);  // reply crosses back over IPC
   if (!res.ok()) sp.set_error(res.error().message);
   co_return res;
@@ -207,17 +201,10 @@ sim::Task<Result<KvStore::Versions>> KvStore::lookup(ChimeraNode& origin, Key ke
   }
 
   sp.attr("source", "routed");
-  Result<Versions> res = Error{Errc::unavailable, "not attempted"};
-  for (int attempt = 1;; ++attempt) {
-    res = co_await get_routed(origin, key, sp.ctx());
-    if (res.ok() || !RetryPolicy::transient(res.code())) break;
-    if (attempt >= config_.retry.max_attempts) {
-      ++stats_.op_failures;
-      break;
-    }
-    ++stats_.op_retries;
-    co_await sim.delay(config_.retry.backoff(attempt, rng_));
-  }
+  Result<Versions> res = co_await sim::retry<Result<Versions>>(
+      sim, rng_, [&] { return get_routed(origin, key, sp.ctx()); },
+      [&] { ++stats_.op_retries; });
+  if (!res.ok() && sim::transient(res.code())) ++stats_.op_failures;
   co_await sim.delay(config_.chimera_ipc);
   if (!res.ok()) sp.set_error(res.error().message);
   co_return res;
@@ -329,17 +316,10 @@ sim::Task<Result<void>> KvStore::erase(ChimeraNode& origin, Key key, obs::Ctx ct
   auto& sim = overlay_.simulation();
   obs::ScopedSpan sp(ctx, "kv.erase");
 
-  Result<void> res = Error{Errc::unavailable, "not attempted"};
-  for (int attempt = 1;; ++attempt) {
-    res = co_await erase_attempt(origin, key, sp.ctx());
-    if (res.ok() || !RetryPolicy::transient(res.code())) break;
-    if (attempt >= config_.retry.max_attempts) {
-      ++stats_.op_failures;
-      break;
-    }
-    ++stats_.op_retries;
-    co_await sim.delay(config_.retry.backoff(attempt, rng_));
-  }
+  Result<void> res = co_await sim::retry<Result<void>>(
+      sim, rng_, [&] { return erase_attempt(origin, key, sp.ctx()); },
+      [&] { ++stats_.op_retries; });
+  if (!res.ok() && sim::transient(res.code())) ++stats_.op_failures;
   if (!res.ok()) sp.set_error(res.error().message);
   co_return res;
 }

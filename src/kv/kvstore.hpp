@@ -17,8 +17,9 @@
 //
 // Hardened for the fault-injection layer (sim/fault.hpp): every public
 // operation owns a per-attempt timeout — request messages are sent
-// unreliably, a drop surfaces as Errc::timeout — and retries transient
-// failures with exponential backoff + jitter, bounded by KvConfig::retry.
+// unreliably, a drop surfaces as Errc::timeout — and put, get and erase
+// retry transient failures through sim::retry (sim/retry.hpp): at most
+// sim::kMaxAttempts attempts, exponential backoff with jitter.
 //
 // Stored values are shared, not copied: a key's version list is immutable
 // once stored, and the owner's entry, its replicas and the path caches all
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "src/common/result.hpp"
-#include "src/common/retry.hpp"
 #include "src/common/serial.hpp"
 #include "src/obs/trace.hpp"
 #include "src/overlay/overlay.hpp"
@@ -54,9 +54,6 @@ struct KvConfig {
   // VStore++ talks to the Chimera process over IPC (§IV); paid on entry and
   // on reply for every KV operation issued by a node.
   Duration chimera_ipc = milliseconds(2);
-  // Per-operation retry/backoff for transient failures (lost requests,
-  // owners that die mid-operation, repair windows).
-  RetryPolicy retry;
   // When set, put acknowledges only after the replicas are written, so an
   // acknowledged write survives the immediate crash of its owner. Off by
   // default (the paper replicates off the critical path); chaos tests that

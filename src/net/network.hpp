@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <map>
 
-#include "src/common/log.hpp"
 #include "src/common/rng.hpp"
 #include "src/net/fairshare.hpp"
 #include "src/obs/metrics.hpp"

@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/log.hpp"
 #include "src/common/result.hpp"
 #include "src/net/network.hpp"
 #include "src/obs/trace.hpp"

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/sim/frame_pool.hpp"
@@ -78,18 +79,28 @@ std::coroutine_handle<> PromiseBase::FinalAwaiter::await_suspend(
   return p.continuation ? p.continuation : std::noop_coroutine();
 }
 
+// The promise's result slot: `value` and return_value for Task<T>,
+// return_void for Task<void>.
+template <typename T>
+struct ValuePromise : PromiseBase {
+  std::optional<T> value;
+  void return_value(T v) { value = std::move(v); }
+};
+
+template <>
+struct ValuePromise<void> : PromiseBase {
+  void return_void() {}
+};
+
 }  // namespace detail
 
 template <typename T = void>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-
+  struct promise_type : detail::ValuePromise<T> {
     Task get_return_object() {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    void return_value(T v) { value = std::move(v); }
   };
 
   Task(Task&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
@@ -116,64 +127,7 @@ class [[nodiscard]] Task {
       }
       T await_resume() {
         if (h.promise().exception) std::rethrow_exception(h.promise().exception);
-        return std::move(*h.promise().value);
-      }
-    };
-    assert(h_ != nullptr && "awaiting a moved-from Task");
-    return Awaiter{h_};
-  }
-  auto operator co_await() && { return operator co_await(); }
-
- private:
-  friend class Simulation;
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-
-  std::coroutine_handle<promise_type> release() { return std::exchange(h_, nullptr); }
-
-  void destroy() {
-    if (h_ != nullptr) {
-      h_.destroy();
-      h_ = nullptr;
-    }
-  }
-
-  std::coroutine_handle<promise_type> h_ = nullptr;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_void() {}
-  };
-
-  Task(Task&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      h_ = std::exchange(other.h_, nullptr);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  bool valid() const { return h_ != nullptr; }
-
-  auto operator co_await() & {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() { return false; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiting) {
-        h.promise().continuation = awaiting;
-        return h;
-      }
-      void await_resume() {
-        if (h.promise().exception) std::rethrow_exception(h.promise().exception);
+        if constexpr (!std::is_void_v<T>) return std::move(*h.promise().value);
       }
     };
     assert(h_ != nullptr && "awaiting a moved-from Task");

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/cloud/cloud.hpp"
-#include "src/common/retry.hpp"
 #include "src/federation/neighborhood.hpp"
 #include "src/kv/kvstore.hpp"
 #include "src/mon/monitor.hpp"
@@ -65,10 +64,6 @@ struct HomeCloudConfig {
   kv::KvConfig kv;
   overlay::OverlayConfig overlay;
   mon::MonitorConfig monitor;
-
-  /// Retry/backoff for the hardened VStore++ paths (fetch retries, process
-  /// waiting out an owner's restart). The KV layer's policy lives in `kv`.
-  RetryPolicy retry;
 
   bool start_monitors = true;
   bool start_stabilization = false;

@@ -1,5 +1,6 @@
 #include "src/vstore/vstore.hpp"
 
+#include "src/sim/retry.hpp"
 #include "src/vstore/home_cloud.hpp"
 
 namespace c4h::vstore {
@@ -382,17 +383,11 @@ sim::Task<Result<FetchOutcome>> VStoreNode::fetch_object(const std::string& name
 
   // Locate-and-transfer with bounded retries: lost messages, owners that die
   // mid-fetch, and flaky disks all surface as transient errors here.
-  const RetryPolicy& rp = cloud_.config().retry;
-  Result<FetchOutcome> res = Error{Errc::unavailable, "not attempted"};
-  for (int attempt = 1;; ++attempt) {
-    res = co_await fetch_attempt(name, sp.ctx());
-    if (res.ok() || !RetryPolicy::transient(res.code())) break;
-    if (attempt >= rp.max_attempts) break;
-    ++stats_.fetch_retries;
-    co_await sim.delay(rp.backoff(attempt, rng_));
-  }
+  Result<FetchOutcome> res = co_await sim::retry<Result<FetchOutcome>>(
+      sim, rng_, [&] { return fetch_attempt(name, sp.ctx()); },
+      [&] { ++stats_.fetch_retries; });
   if (!res.ok()) {
-    ++stats_.op_failures;
+    if (sim::transient(res.code())) ++stats_.op_failures;
     sp.set_error(res.error().message);
     co_return res.error();
   }
@@ -612,16 +607,18 @@ sim::Task<Result<void>> VStoreNode::run_at_site(const ExecSite& site, const Exec
           if (!got.ok()) co_return got.error();
         }
       } else {
-        VStoreNode* ownr = cloud_.node_by_key(rec.location.node);
         // A crashed owner usually restarts within the fault plan's downtime;
         // wait with backoff before declaring the argument unavailable.
-        const RetryPolicy& rp = cloud_.config().retry;
-        for (int attempt = 1; (ownr == nullptr || !ownr->online()) && attempt < rp.max_attempts;
-             ++attempt) {
-          co_await sim.delay(rp.backoff(attempt, rng_));
-          ownr = cloud_.node_by_key(rec.location.node);
-        }
-        if (ownr == nullptr || !ownr->online()) {
+        VStoreNode* ownr = nullptr;
+        const Result<void> online = co_await sim::retry<Result<void>>(
+            sim, rng_,
+            [&]() -> sim::Task<Result<void>> {
+              ownr = cloud_.node_by_key(rec.location.node);
+              if (ownr == nullptr || !ownr->online()) co_return Errc::unavailable;
+              co_return Result<void>{};
+            },
+            [] {});
+        if (!online.ok()) {
           mv.set_error("owner offline");
           co_return Error{Errc::unavailable, "object owner offline: " + name};
         }

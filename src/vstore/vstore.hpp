@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/cloud/cloud.hpp"
-#include "src/common/retry.hpp"
 #include "src/common/rng.hpp"
 #include "src/kv/kvstore.hpp"
 #include "src/mon/monitor.hpp"

@@ -1,7 +1,8 @@
 // Discrete-event engine: ordering, determinism, cancellation, coroutine
-// tasks, events, channels, when_all.
+// tasks, events, channels, when_all, the bounded retry loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <coroutine>
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/retry.hpp"
 #include "src/sim/simulation.hpp"
 #include "src/sim/sync.hpp"
 
@@ -499,6 +501,110 @@ TEST(EventArena, EventsExecutedCounts) {
   sim.cancel(gone);
   sim.run();
   EXPECT_EQ(sim.events_executed(), 7u);  // cancelled events never count
+}
+
+// ---- bounded retry (retry.hpp) ---------------------------------------------
+
+/// One sim::retry call whose attempt i returns codes[min(i, size − 1)]
+/// (Errc::ok is success), with the simulated time at which each attempt ran.
+struct RetryRun {
+  std::vector<Errc> codes;
+  std::vector<TimePoint> started;
+  int retries = 0;  // on_retry calls
+  Result<void> result;
+  TimePoint finished{};
+};
+
+Task<> drive_retry(Simulation& sim, Rng& rng, RetryRun& run) {
+  run.result = co_await retry<Result<void>>(
+      sim, rng,
+      [&]() -> Task<Result<void>> {
+        const Errc c = run.codes[std::min(run.started.size(), run.codes.size() - 1)];
+        run.started.push_back(sim.now());
+        if (c == Errc::ok) co_return Result<void>{};
+        co_return c;
+      },
+      [&] { ++run.retries; });
+  run.finished = sim.now();
+}
+
+RetryRun run_retry(std::vector<Errc> codes, Rng& rng) {
+  Simulation sim;
+  RetryRun run;
+  run.codes = std::move(codes);
+  sim.spawn(drive_retry(sim, rng, run));
+  sim.run();
+  return run;
+}
+
+TEST(Retry, FirstAttemptSuccessNeitherPausesNorRetries) {
+  Rng rng{3};
+  Rng untouched = rng;
+  const RetryRun run = run_retry({Errc::ok}, rng);
+  EXPECT_TRUE(run.result.ok());
+  EXPECT_EQ(run.started.size(), 1u);
+  EXPECT_EQ(run.retries, 0);
+  EXPECT_EQ(run.finished, TimePoint{});
+  EXPECT_EQ(rng.next(), untouched.next());  // no jitter drawn
+}
+
+TEST(Retry, TwoTimeoutsThenOkPauseOnTheBackoffSchedule) {
+  Rng rng{11};
+  Rng expected = rng;
+  const Duration first = backoff(1, expected);
+  const Duration second = backoff(2, expected);
+  const RetryRun run = run_retry({Errc::timeout, Errc::timeout, Errc::ok}, rng);
+  EXPECT_TRUE(run.result.ok());
+  ASSERT_EQ(run.started.size(), 3u);
+  EXPECT_EQ(run.retries, 2);
+  EXPECT_EQ(run.started[1] - run.started[0], first);
+  EXPECT_EQ(run.started[2] - run.started[1], second);
+  EXPECT_EQ(run.finished, run.started[2]);
+  // Exactly one draw per pause, taken after each failure: the stream
+  // continues where the two expected pauses left it.
+  EXPECT_EQ(rng.next(), expected.next());
+}
+
+TEST(Retry, NonTransientErrorReturnsAfterOneAttempt) {
+  for (const Errc c : {Errc::not_found, Errc::already_exists, Errc::permission_denied,
+                       Errc::no_capacity, Errc::invalid_argument}) {
+    Rng rng{5};
+    Rng untouched = rng;
+    const RetryRun run = run_retry({c, Errc::ok}, rng);
+    EXPECT_EQ(run.result.code(), c) << to_string(c);
+    EXPECT_EQ(run.started.size(), 1u) << to_string(c);
+    EXPECT_EQ(run.retries, 0) << to_string(c);
+    EXPECT_EQ(run.finished, TimePoint{}) << to_string(c);
+    EXPECT_EQ(rng.next(), untouched.next()) << to_string(c);
+  }
+}
+
+TEST(Retry, AlwaysUnavailableGivesUpAfterFourAttempts) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 42u}) {
+    Rng rng{seed};
+    const RetryRun run = run_retry({Errc::unavailable}, rng);
+    EXPECT_EQ(run.result.code(), Errc::unavailable);
+    ASSERT_EQ(run.started.size(), 4u);
+    EXPECT_EQ(run.retries, 3);
+    EXPECT_EQ(run.finished, run.started[3]);  // no pause after the last attempt
+    const std::array<Duration, 3> nominal{milliseconds(50), milliseconds(100),
+                                          milliseconds(200)};
+    for (std::size_t i = 0; i < nominal.size(); ++i) {
+      const Duration pause = run.started[i + 1] - run.started[i];
+      EXPECT_GE(pause, nominal[i] * 8 / 10) << "pause " << i + 1 << ", seed " << seed;
+      EXPECT_LE(pause, nominal[i] * 12 / 10) << "pause " << i + 1 << ", seed " << seed;
+    }
+  }
+}
+
+TEST(Retry, TransientIsExactlyTimeoutUnavailableNoRouteIoError) {
+  for (const Errc c : {Errc::ok, Errc::not_found, Errc::already_exists, Errc::no_capacity,
+                       Errc::no_route, Errc::unavailable, Errc::invalid_argument,
+                       Errc::timeout, Errc::io_error, Errc::permission_denied}) {
+    const bool expected = c == Errc::timeout || c == Errc::unavailable ||
+                          c == Errc::no_route || c == Errc::io_error;
+    EXPECT_EQ(transient(c), expected) << to_string(c);
+  }
 }
 
 // ---- coroutine frame pool (frame_pool.hpp) ---------------------------------

@@ -222,6 +222,39 @@ TEST(Generate, FlashCrowdInflatesWindowDensity) {
   EXPECT_GT(static_cast<double>(inside) / static_cast<double>(before), 3.0);
 }
 
+TEST(Generate, FlashCrowdLeavesTheScheduleBeforeItsWindowUnchanged) {
+  // A window raises the rate only from its start on, so every op before it
+  // is the same as in the schedule without the window. (After the window the
+  // two differ: its extra arrivals advance each tenant's Rng streams.)
+  FlashCrowdSpec f;
+  f.start = seconds(12);
+  f.duration = seconds(6);
+  f.multiplier = 8.0;
+  const auto before_window = [&](const Schedule& s) {
+    std::vector<ScheduledOp> ops;
+    for (const ScheduledOp& op : s.ops) {
+      if (op.at < f.start) ops.push_back(op);
+    }
+    return ops;
+  };
+  for (const std::uint64_t seed : {1u, 42u, 97u}) {
+    WorkloadSpec steady = two_tenant_spec();
+    steady.seed = seed;
+    steady.diurnal.enabled = true;
+    steady.diurnal.period = seconds(20);
+    steady.diurnal.amplitude = 0.5;
+    WorkloadSpec flash = steady;
+    flash.flash_crowds.push_back(f);
+
+    const Schedule a = generate(steady);
+    const Schedule b = generate(flash);
+    EXPECT_EQ(a.objects, b.objects) << "seed " << seed;
+    const std::vector<ScheduledOp> ops = before_window(a);
+    ASSERT_FALSE(ops.empty()) << "seed " << seed;
+    EXPECT_EQ(ops, before_window(b)) << "seed " << seed;
+  }
+}
+
 TEST(FromTrace, MapsFilesToTenantsAndIsDeterministic) {
   trace::TraceConfig tc;
   tc.clients = 3;
