@@ -317,13 +317,8 @@ CellResult run_cell(const ScenarioDef& scn, DecisionPolicy policy, const bench::
     co_await d.drive(workload::generate(sp));
   }(hc, driver, spec, scn, policy, cell, kRegretSamples));
 
-  const obs::Snapshot snap = hc.world().metrics().snapshot();
-  for (const auto& [name, h] : snap.histograms) {
-    if (name.starts_with("c4h.workload.") && name.find(".latency_ns{") != std::string::npos) {
-      cell.latency.merge(h);
-    }
-  }
   for (const workload::TenantStats& t : driver.result().tenants) {
+    for (const obs::LogHistogram& h : t.latency) cell.latency.merge(h);
     cell.ok += t.ok_total();
     cell.failed += t.failed;
   }

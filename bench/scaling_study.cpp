@@ -92,7 +92,7 @@ void striped_transfers(obs::BenchReport& report, bool quick) {
       hc.bootstrap();
 
       // Per-flow cap ~1.3 MiB/s: window-limited below the 4 MiB/s link.
-      net::TcpProfile p = cfg.transport.profile();
+      net::TcpProfile p = cfg.transport;
       p.window_cap = Bytes{81920};
       p.rtt = milliseconds(60);
 

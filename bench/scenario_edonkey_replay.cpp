@@ -60,7 +60,7 @@ void run(const bench::BenchArgs& args) {
     co_await d.drive(s);
   }(driver, schedule));
 
-  bench::print_tenant_table(driver.result(), hc.world().metrics());
+  bench::print_tenant_table(driver.result());
 
   obs::BenchReport report("scenario_edonkey_replay", args.seed);
   report.meta("quick", args.quick ? "true" : "false");
@@ -68,18 +68,21 @@ void run(const bench::BenchArgs& args) {
   report.meta("clients", std::to_string(clients));
   report.meta("trace_files", std::to_string(w.files.size()));
   report.meta("trace_ops", std::to_string(schedule.ops.size()));
-  bench::emit_scenario(report, driver.result(), hc.world().metrics());
+  bench::emit_scenario(report, driver.result());
 
   // The tail claim as measured: the spread of p999/p50 over the tenant series.
   double lo = 0.0;
   double hi = 0.0;
   int series = 0;
-  for (const auto& [name, h] : hc.world().metrics().snapshot().histograms) {
-    if (h.quantile(50.0) == 0) continue;
-    const double r = static_cast<double>(h.quantile(99.9)) / static_cast<double>(h.quantile(50.0));
-    lo = series == 0 ? r : std::min(lo, r);
-    hi = std::max(hi, r);
-    ++series;
+  for (const workload::TenantStats& t : driver.result().tenants) {
+    for (const obs::LogHistogram& h : t.latency) {
+      if (h.quantile(50.0) == 0) continue;
+      const double r =
+          static_cast<double>(h.quantile(99.9)) / static_cast<double>(h.quantile(50.0));
+      lo = series == 0 ? r : std::min(lo, r);
+      hi = std::max(hi, r);
+      ++series;
+    }
   }
   std::printf("\nshape checks: zero denied (all-pairs read/write grants); p999/p50 spans\n");
   std::printf("%.2fx-%.2fx over the %d tenant series (Poisson bursts queue transfers\n", lo,

@@ -123,23 +123,22 @@ void run(const bench::BenchArgs& args) {
   }(city, fed, driver, schedule, spec.duration));
 
   // Per-path table.
-  const obs::Snapshot snap = city.metrics().snapshot();
   std::printf("%-13s | %8s | %9s %9s %9s\n", "path", "fetches", "p50(ms)", "p99(ms)",
               "p999(ms)");
   bench::row_line();
   const federation::GeoStats& fs = fed.stats();
   for (std::size_t p = 0; p < federation::kFetchPaths; ++p) {
     const std::string label = federation::to_string(static_cast<federation::FetchPath>(p));
-    const auto it = snap.histograms.find("c4h.fed2.fetch.latency_ns{path=" + label + "}");
-    std::printf("%-13s | %8llu |", label.c_str(), static_cast<unsigned long long>(fs.fetches[p]));
-    if (it == snap.histograms.end() || it->second.count() == 0) {
+    const obs::LogHistogram& h = fs.latency[p];
+    std::printf("%-13s | %8llu |", label.c_str(), static_cast<unsigned long long>(h.count()));
+    if (h.count() == 0) {
       std::printf(" %9s %9s %9s\n", "-", "-", "-");  // a tier that served nothing
       continue;
     }
     const double ms = 1e-6;
-    std::printf(" %9.1f %9.1f %9.1f\n", static_cast<double>(it->second.quantile(50.0)) * ms,
-                static_cast<double>(it->second.quantile(99.0)) * ms,
-                static_cast<double>(it->second.quantile(99.9)) * ms);
+    std::printf(" %9.1f %9.1f %9.1f\n", static_cast<double>(h.quantile(50.0)) * ms,
+                static_cast<double>(h.quantile(99.0)) * ms,
+                static_cast<double>(h.quantile(99.9)) * ms);
   }
   std::printf(
       "\nfederation: %llu published, %llu replicas placed, %llu repairs "
@@ -163,11 +162,9 @@ void run(const bench::BenchArgs& args) {
   report.meta("tenants", std::to_string(tenant_count));
   for (std::size_t p = 0; p < federation::kFetchPaths; ++p) {
     const std::string label = federation::to_string(static_cast<federation::FetchPath>(p));
-    report.add("path=" + label, "fed.fetch.count", static_cast<double>(fs.fetches[p]), "count");
-    const auto it = snap.histograms.find("c4h.fed2.fetch.latency_ns{path=" + label + "}");
-    if (it != snap.histograms.end()) {
-      obs::add_latency_tails(report, "path=" + label, "fed.fetch.latency", it->second);
-    }
+    report.add("path=" + label, "fed.fetch.count", static_cast<double>(fs.latency[p].count()),
+               "count");
+    obs::add_latency_tails(report, "path=" + label, "fed.fetch.latency", fs.latency[p]);
   }
   report.add("federation", "published", static_cast<double>(fs.published), "count");
   report.add("federation", "replicas_placed", static_cast<double>(fs.replicas_placed), "count");
@@ -184,11 +181,38 @@ void run(const bench::BenchArgs& args) {
     report.add(t.name, "workload.ok", static_cast<double>(t.ok_total()), "count");
     report.add(t.name, "workload.failed", static_cast<double>(t.failed), "count");
   }
-  workload::emit_tail_series(report, city.metrics());
+  workload::emit_tail_series(report, driver.result(), "workload.fed_");
   bench::emit(report);
 
+  // The cost pyramid as measured: each tier's p50 with the fetch count it
+  // rests on. A tier that served nothing has no p50 to rank.
+  using federation::FetchPath;
+  const auto tier = [&fs](FetchPath p) -> const obs::LogHistogram& {
+    return fs.latency[static_cast<std::size_t>(p)];
+  };
+  const auto p50_ms = [&](FetchPath p) {
+    return static_cast<double>(tier(p).quantile(50.0)) * 1e-6;
+  };
   std::printf("\nshape checks: local p50 < neighborhood p50 <= wide_area p50 (the cost\n");
-  std::printf("pyramid holds); zero unhealable entries after the final repair sweep.\n");
+  std::printf("pyramid), as measured:\n");
+  bool measured = true;
+  for (const FetchPath p : {FetchPath::local, FetchPath::neighborhood, FetchPath::wide_area}) {
+    std::printf("  %-13s p50 %9.1f ms over %llu fetches\n", federation::to_string(p), p50_ms(p),
+                static_cast<unsigned long long>(tier(p).count()));
+    measured = measured && tier(p).count() > 0;
+  }
+  const bool holds = p50_ms(FetchPath::local) < p50_ms(FetchPath::neighborhood) &&
+                     p50_ms(FetchPath::neighborhood) <= p50_ms(FetchPath::wide_area);
+  std::printf("  the pyramid %s\n", !measured ? "is not measured (a tier served no fetch)"
+                                   : holds     ? "holds"
+                                               : "does NOT hold");
+  if (tier(FetchPath::cloud).count() == 0) {
+    std::printf("  cloud tier: not measured (0 fetches)\n");
+  } else {
+    std::printf("  cloud tier: p50 %.1f ms over %llu fetches\n", p50_ms(FetchPath::cloud),
+                static_cast<unsigned long long>(tier(FetchPath::cloud).count()));
+  }
+  std::printf("zero unhealable entries after the final repair sweep.\n");
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ void run_once(const bench::BenchArgs& args, bool crowd, obs::BenchReport& report
     co_await d.drive(schedule);
   }(driver, spec));
 
-  bench::print_tenant_table(driver.result(), hc.world().metrics());
+  bench::print_tenant_table(driver.result());
 
   for (const workload::TenantStats& t : driver.result().tenants) {
     const std::string label = std::string(tag) + ":" + t.name;
@@ -80,10 +80,11 @@ void run_once(const bench::BenchArgs& args, bool crowd, obs::BenchReport& report
     report.add(label, "workload.ok", static_cast<double>(t.ok_total()), "count");
     report.add(label, "workload.failed", static_cast<double>(t.failed), "count");
   }
-  const obs::Snapshot snap = hc.world().metrics().snapshot();
-  const auto it = snap.histograms.find("c4h.workload.fetch.latency_ns{tenant=crowd}");
-  if (it != snap.histograms.end()) {
-    obs::add_latency_tails(report, tag, "workload.fetch.latency", it->second);
+  for (const workload::TenantStats& t : driver.result().tenants) {
+    const obs::LogHistogram& fetch = t.latency[static_cast<std::size_t>(workload::OpKind::fetch)];
+    if (t.name == "crowd" && fetch.count() > 0) {
+      obs::add_latency_tails(report, tag, "workload.fetch.latency", fetch);
+    }
   }
 }
 

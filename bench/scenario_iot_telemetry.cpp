@@ -86,14 +86,14 @@ void run(const bench::BenchArgs& args) {
     co_await d.drive(schedule);
   }(hc, driver, spec, *dashboard.service));
 
-  bench::print_tenant_table(driver.result(), hc.world().metrics());
+  bench::print_tenant_table(driver.result());
 
   obs::BenchReport report("scenario_iot_telemetry", args.seed);
   report.meta("quick", args.quick ? "true" : "false");
   report.meta("nodes", std::to_string(hc.node_count()));
   report.meta("duration_s", std::to_string(static_cast<int>(to_seconds(duration))));
   report.meta("sensor_rate_per_s", std::to_string(spec.tenants[0].arrival.rate_per_sec));
-  bench::emit_scenario(report, driver.result(), hc.world().metrics());
+  bench::emit_scenario(report, driver.result());
 
   std::printf("\nshape checks: store volume dominates (fan-in); dashboard process tails\n");
   std::printf("sit above its fetch tails (compute + movement); zero denied/wrong ops.\n");

@@ -110,7 +110,7 @@ void run(const bench::BenchArgs& args) {
     co_await d.drive(schedule);
   }(hc, driver, spec));
 
-  bench::print_tenant_table(driver.result(), hc.world().metrics());
+  bench::print_tenant_table(driver.result());
 
   const workload::TenantStats& guest = driver.result().tenants.back();
   std::printf("\nguest (untrusted): %llu issued, %llu denied — every media read refused\n",
@@ -121,7 +121,7 @@ void run(const bench::BenchArgs& args) {
   report.meta("quick", a.quick ? "true" : "false");
   report.meta("nodes", std::to_string(hc.node_count()));
   report.meta("tenants", std::to_string(spec.tenants.size()));
-  bench::emit_scenario(report, driver.result(), hc.world().metrics());
+  bench::emit_scenario(report, driver.result());
 
   std::printf("\nshape checks: guest denied == guest issued (trust isolation holds);\n");
   std::printf("iot store p50 well under media fetch p50 (small objects stay cheap).\n");

@@ -20,12 +20,10 @@ inline vstore::HomeCloudConfig scenario_config(const BenchArgs& args) {
 
 /// Per-tenant outcome counts plus the fetch-latency tails — the console
 /// companion of the JSON series.
-inline void print_tenant_table(const workload::DriveResult& result,
-                               const obs::Registry& registry) {
+inline void print_tenant_table(const workload::DriveResult& result) {
   std::printf("%-14s | %8s %8s %8s %8s %8s | %9s %9s %9s\n", "tenant", "issued", "ok",
               "failed", "denied", "wrong", "p50(ms)", "p99(ms)", "p999(ms)");
   row_line();
-  const obs::Snapshot snap = registry.snapshot();
   for (const workload::TenantStats& t : result.tenants) {
     // The headline latency column: the tenant's busiest op kind.
     const workload::OpKind kinds[] = {workload::OpKind::fetch, workload::OpKind::store,
@@ -34,12 +32,10 @@ inline void print_tenant_table(const workload::DriveResult& result,
     const obs::LogHistogram* h = nullptr;
     std::uint64_t best = 0;
     for (const workload::OpKind k : kinds) {
-      const std::string name = "c4h.workload." + std::string(workload::to_string(k)) +
-                               ".latency_ns{tenant=" + t.name + "}";
-      const auto it = snap.histograms.find(name);
-      if (it != snap.histograms.end() && it->second.count() > best) {
-        best = it->second.count();
-        h = &it->second;
+      const obs::LogHistogram& lat = t.latency[static_cast<std::size_t>(k)];
+      if (lat.count() > best) {
+        best = lat.count();
+        h = &lat;
       }
     }
     const double ms = 1e-6;
@@ -64,8 +60,7 @@ inline void print_tenant_table(const workload::DriveResult& result,
 
 /// Adds the per-tenant outcome counters and every workload latency tail
 /// series to the report, then writes the artifact.
-inline void emit_scenario(obs::BenchReport& report, const workload::DriveResult& result,
-                          const obs::Registry& registry) {
+inline void emit_scenario(obs::BenchReport& report, const workload::DriveResult& result) {
   for (const workload::TenantStats& t : result.tenants) {
     report.add(t.name, "workload.issued", static_cast<double>(t.issued_total()), "count");
     report.add(t.name, "workload.ok", static_cast<double>(t.ok_total()), "count");
@@ -73,7 +68,7 @@ inline void emit_scenario(obs::BenchReport& report, const workload::DriveResult&
     report.add(t.name, "workload.denied", static_cast<double>(t.denied), "count");
     report.add(t.name, "workload.wrong", static_cast<double>(t.wrong), "count");
   }
-  workload::emit_tail_series(report, registry);
+  workload::emit_tail_series(report, result);
   emit(report);
 }
 

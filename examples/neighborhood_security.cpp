@@ -129,7 +129,7 @@ int main() {
   std::printf("  federation: %zu directory entries, %llu cross-home pulls, %.1f MB exchanged\n",
               fed.directory_size(),
               static_cast<unsigned long long>(
-                  fed.stats().fetches[static_cast<std::size_t>(FetchPath::neighborhood)]),
+                  fed.stats().latency[static_cast<std::size_t>(FetchPath::neighborhood)].count()),
               fed.stats().bytes_fetched / (1024.0 * 1024.0));
   return 0;
 }

@@ -6,7 +6,7 @@ sim::Task<Result<void>> S3Store::put(net::NetNodeId from, const std::string& url
                                      obs::Ctx ctx) {
   obs::ScopedSpan sp(ctx, "s3.put");
   sp.attr("bytes", static_cast<std::uint64_t>(size));
-  co_await net_.transfer(from, endpoint_, size, transport_.profile(), sp.ctx());
+  co_await net_.transfer(from, endpoint_, size, transport_, sp.ctx());
   objects_[url] = size;
   co_return Result<void>{};
 }
@@ -23,7 +23,7 @@ sim::Task<Result<Bytes>> S3Store::get(net::NetNodeId to, const std::string& url,
   }
   const Bytes size = it->second;
   sp.attr("bytes", static_cast<std::uint64_t>(size));
-  co_await net_.transfer(endpoint_, to, size, transport_.profile(), sp.ctx());
+  co_await net_.transfer(endpoint_, to, size, transport_, sp.ctx());
   co_return size;
 }
 

@@ -24,27 +24,23 @@ namespace c4h::cloud {
 /// uplink with ≈6.5 Mbps max down / 4.5 Mbps up, ≈1.5 Mbps average, high
 /// variability; S3 grows the TCP window to ≈1.6 MB; ISPs police long
 /// "bandwidth-hogging" transfers).
-struct CloudTransport {
-  Duration rtt = milliseconds(60);
-  Bytes window_cap = Bytes{1638400};  // ≈1.6 MB
-  Bytes slow_start_bytes = 3_MB;      // bytes before the window cap is reached
-  double slow_start_fraction = 0.45;
-  Bytes policing_burst = 30_MB;       // ISP token bucket
-  double policed_fraction = 0.55;
-  Duration handshake = milliseconds(90);  // TCP + HTTP request setup
+inline net::TcpProfile s3_transport() {
+  return net::TcpProfile{
+      .rtt = milliseconds(60),
+      .window_cap = Bytes{1638400},   // ≈1.6 MB
+      .slow_start_bytes = 3_MB,       // bytes before the window cap is reached
+      .slow_start_fraction = 0.45,
+      .policing_burst = 30_MB,        // ISP token bucket
+      .policed_fraction = 0.55,
+      .handshake = milliseconds(90),  // TCP + HTTP request setup
+  };
+}
 
-  net::TcpProfile profile() const {
-    net::TcpProfile p;
-    p.rtt = rtt;
-    p.window_cap = window_cap;
-    p.slow_start_bytes = slow_start_bytes;
-    p.slow_start_fraction = slow_start_fraction;
-    p.policing_burst = policing_burst;
-    p.policed_fraction = policed_fraction;
-    p.handshake = handshake;
-    return p;
-  }
-};
+/// Moving `size` bytes from S3 to an EC2 instance inside the cloud: a fixed
+/// request cost plus the intra-cloud copy rate.
+inline Duration intra_cloud_move(Bytes size) {
+  return milliseconds(10) + transfer_time(size, mib_per_sec(20.0));
+}
 
 /// S3-style blob store. Objects are addressed by URL ("s3://bucket/name");
 /// the stored value is the object's size (content is synthetic throughout
@@ -52,7 +48,8 @@ struct CloudTransport {
 /// prototype's wrapper over the S3 interface.
 class S3Store {
  public:
-  S3Store(net::Network& net, net::NetNodeId cloud_endpoint, CloudTransport transport = {})
+  S3Store(net::Network& net, net::NetNodeId cloud_endpoint,
+          net::TcpProfile transport = s3_transport())
       : net_(net), endpoint_(cloud_endpoint), transport_(transport) {}
 
   static std::string url_for(const std::string& bucket, const std::string& object) {
@@ -73,12 +70,11 @@ class S3Store {
   std::size_t object_count() const { return objects_.size(); }
   Bytes stored_bytes() const;
   net::NetNodeId endpoint() const { return endpoint_; }
-  const CloudTransport& transport() const { return transport_; }
 
  private:
   net::Network& net_;
   net::NetNodeId endpoint_;
-  CloudTransport transport_;
+  net::TcpProfile transport_;
   std::unordered_map<std::string, Bytes> objects_;
 };
 

@@ -13,17 +13,22 @@
 
 namespace c4h {
 
+/// One splitmix64 step: advances `x` by the golden gamma and mixes it.
+/// Spreads a (possibly small) seed over 64 well-mixed bits.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) {
-    // splitmix64 to spread a (possibly small) user seed over the full state.
-    std::uint64_t x = seed;
+    // A splitmix64 stream spreads the seed over the full state.
     for (auto& s : s_) {
-      x += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      s = z ^ (z >> 31);
+      s = splitmix64(seed);
+      seed += 0x9E3779B97F4A7C15ull;
     }
   }
 

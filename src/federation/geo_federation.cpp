@@ -17,12 +17,6 @@ GeoFederation::GeoFederation(vstore::City& city, GeoConfig config)
     : city_(city), config_(config), partitions_(city.neighborhoods().size()) {
   assert(!partitions_.empty() && "construct GeoFederation after the neighborhoods");
   assert(config_.replication >= 1);
-  // Materialize every per-path histogram up front, so the pointers stay
-  // stable and a tier that serves nothing still has one (count 0).
-  for (std::size_t p = 0; p < kFetchPaths; ++p) {
-    const std::string label = to_string(static_cast<FetchPath>(p));
-    fetch_latency_[p] = &city_.metrics().histogram("c4h.fed2.fetch.latency_ns{path=" + label + "}");
-  }
 }
 
 VStoreNode* GeoFederation::live_node(const Replica& r) {
@@ -47,7 +41,7 @@ sim::Task<bool> GeoFederation::copy_to(VStoreNode& src, VStoreNode& dst, const s
   const net::NetNodeId d = dst.chimera().net_node();
   // Wide-area push: windowing is bound by the routed round trip between the
   // two homes (leaf→spine→leaf both ways).
-  net::TcpProfile profile = cloud::CloudTransport{}.profile();
+  net::TcpProfile profile = cloud::s3_transport();
   profile.rtt = city_.network().topology().path_latency(s, d) * 2;
   co_await city_.network().transfer(s, d, size, profile);
   auto written = co_await dst.fs().write(name, size, vstore::Bin::voluntary);
@@ -257,7 +251,7 @@ sim::Task<Result<GeoFetch>> GeoFederation::fetch(HomeCloud& home, VStoreNode& no
       // Crosses two access networks; wide-area also rides the spine, which
       // stretches the round trip the window is clocked by.
       co_await net.send_message(node.chimera().net_node(), src->chimera().net_node());
-      net::TcpProfile profile = home.config().transport.profile();
+      net::TcpProfile profile = home.config().transport;
       profile.rtt = profile.rtt * 2;
       if (out.path == FetchPath::wide_area) profile.rtt += best_lat * 2;
       co_await net.transfer(src->chimera().net_node(), node.chimera().net_node(), entry.size,
@@ -282,7 +276,8 @@ sim::Task<Result<GeoFetch>> GeoFederation::fetch(HomeCloud& home, VStoreNode& no
   out.transfer = sim.now() - x0;
   out.total = sim.now() - t0;
   span.attr("path", to_string(out.path));
-  note_fetch(out.path, out.total);
+  stats_.latency[static_cast<std::size_t>(out.path)].record(
+      static_cast<std::uint64_t>(out.total.count()));
   stats_.bytes_fetched += static_cast<double>(entry.size);
   co_return out;
 }
@@ -373,12 +368,6 @@ std::string GeoFederation::fingerprint() const {
     }
   }
   return os.str();
-}
-
-void GeoFederation::note_fetch(FetchPath path, Duration total) {
-  const auto idx = static_cast<std::size_t>(path);
-  ++stats_.fetches[idx];
-  fetch_latency_[idx]->record(static_cast<std::uint64_t>(total.count()));
 }
 
 }  // namespace c4h::federation

@@ -79,7 +79,9 @@ struct GeoStats {
   std::uint64_t repairs = 0;           // replicas re-created by repair_scan
   std::uint64_t repair_failures = 0;   // entries with no live copy to heal from
   std::uint64_t fetch_errors = 0;
-  std::array<std::uint64_t, kFetchPaths> fetches{};  // by FetchPath
+  /// Latency of each served fetch, by FetchPath; `latency[p].count()` is
+  /// the number of fetches that tier served.
+  std::array<obs::LogHistogram, kFetchPaths> latency;
   double bytes_replicated = 0;
   double bytes_fetched = 0;
 };
@@ -165,16 +167,11 @@ class GeoFederation {
   sim::Task<bool> copy_to(vstore::VStoreNode& src, vstore::VStoreNode& dst,
                           const std::string& name, Bytes size);
 
-  void note_fetch(FetchPath path, Duration total);
-
   vstore::City& city_;
   GeoConfig config_;
   /// Directory shard per neighborhood; ordered for deterministic sweeps.
   std::vector<std::map<std::string, Entry>> partitions_;
   GeoStats stats_;
-  // Per-path fetch latencies (c4h.fed2.fetch.latency_ns{path=}) in the
-  // city registry; the per-path counts are stats_.fetches.
-  std::array<obs::LogHistogram*, kFetchPaths> fetch_latency_{};
 };
 
 }  // namespace c4h::federation

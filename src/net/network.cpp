@@ -13,10 +13,6 @@ constexpr double kByteEps = 0.5;  // flows within half a byte of done are done
 sim::Task<> Network::transfer(NetNodeId src, NetNodeId dst, Bytes size, TcpProfile profile,
                               obs::Ctx ctx) {
   ++stats_.flows_started;
-  if (m_flows_ != nullptr) {
-    m_flows_->add();
-    m_flow_bytes_->add(size);
-  }
   obs::ScopedSpan sp(ctx, "net.transfer");
   sp.attr("bytes", static_cast<std::uint64_t>(size));
   // Connection setup: handshake plus one-way path latency before data flows.
@@ -74,7 +70,6 @@ sim::Task<> Network::send_message(NetNodeId src, NetNodeId dst, Bytes size, obs:
 sim::Task<bool> Network::try_send_message(NetNodeId src, NetNodeId dst, Bytes size,
                                           obs::Ctx ctx) {
   ++stats_.messages_sent;
-  if (m_msgs_ != nullptr) m_msgs_->add();
   obs::ScopedSpan sp(ctx, "net.msg");
   sp.attr("bytes", static_cast<std::uint64_t>(size));
   Duration lat = sample_message_latency(src, dst, size);
@@ -92,18 +87,6 @@ sim::Task<bool> Network::try_send_message(NetNodeId src, NetNodeId dst, Bytes si
   }
   co_await sim_.delay(lat);
   co_return true;
-}
-
-void Network::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    m_msgs_ = nullptr;
-    m_flows_ = nullptr;
-    m_flow_bytes_ = nullptr;
-    return;
-  }
-  m_msgs_ = &registry->counter("c4h.net.msg.count");
-  m_flows_ = &registry->counter("c4h.net.flow.count");
-  m_flow_bytes_ = &registry->counter("c4h.net.flow.bytes");
 }
 
 Duration Network::sample_message_latency(NetNodeId src, NetNodeId dst, Bytes size) {

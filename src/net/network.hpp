@@ -21,7 +21,6 @@
 
 #include "src/common/rng.hpp"
 #include "src/net/fairshare.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/net/tcp_model.hpp"
 #include "src/net/topology.hpp"
@@ -91,11 +90,6 @@ class Network {
   /// Fixed per-hop store-and-forward / processing cost for messages.
   void set_hop_processing(Duration d) { hop_processing_ = d; }
 
-  /// Mirrors message/flow activity into a metrics registry
-  /// (c4h.net.msg.count, c4h.net.flow.count, c4h.net.flow.bytes).
-  /// Pass nullptr to detach.
-  void set_metrics(obs::Registry* registry);
-
  private:
   struct Flow {
     std::vector<LinkId> links;
@@ -127,9 +121,6 @@ class Network {
   sim::EventId next_event_;  // the one pending flow event
   MaxMinSolver solver_;
   NetworkStats stats_;
-  obs::Counter* m_msgs_ = nullptr;        // registered via set_metrics()
-  obs::Counter* m_flows_ = nullptr;
-  obs::Counter* m_flow_bytes_ = nullptr;
 };
 
 }  // namespace c4h::net

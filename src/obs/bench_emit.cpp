@@ -2,24 +2,14 @@
 
 #include <cstdio>
 
+#include "src/common/rng.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace c4h::obs {
 
-namespace {
-
-std::uint64_t splitmix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 BenchReport::BenchReport(std::string bench, std::uint64_t seed)
-    : bench_(std::move(bench)), seed_(seed), run_id_(splitmix(seed)) {}
+    : bench_(std::move(bench)), seed_(seed), run_id_(splitmix64(seed)) {}
 
 void BenchReport::meta(std::string key, std::string value) {
   meta_.emplace_back(std::move(key), std::move(value));

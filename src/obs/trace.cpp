@@ -2,21 +2,12 @@
 
 #include <cstdio>
 
+#include "src/common/rng.hpp"
+
 namespace c4h::obs {
 
-namespace {
-
-std::uint64_t splitmix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 Tracer::Tracer(sim::Simulation& sim, std::uint64_t seed)
-    : sim_(sim), run_id_(splitmix(seed)) {}
+    : sim_(sim), run_id_(splitmix64(seed)) {}
 
 SpanId Tracer::begin(std::string name, SpanId parent) {
   Span s;
@@ -123,12 +114,6 @@ void Tracer::render_into(SpanId id, int indent, bool with_timing, std::string& o
   for (const Span* c : children(id)) {
     render_into(c->id, indent + 1, with_timing, out);
   }
-}
-
-std::string Tracer::render(SpanId root, bool with_timing) const {
-  std::string out;
-  render_into(root, 0, with_timing, out);
-  return out;
 }
 
 std::string Tracer::render_all(bool with_timing) const {

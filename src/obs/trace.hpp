@@ -92,11 +92,10 @@ class Tracer {
   /// Number of spans named `name` in the subtree rooted at `root`.
   int count_in_subtree(SpanId root, const std::string& name) const;
 
-  /// Renders the subtree under `root` as an indented tree, one span per
-  /// line: name, attributes, error note — and, with `with_timing`, the start
-  /// offset and duration in nanoseconds. Deterministic for a given seed.
-  std::string render(SpanId root, bool with_timing) const;
-  /// Renders every root in creation order.
+  /// Renders every root's subtree in creation order as an indented tree,
+  /// one span per line: name, attributes, error note — and, with
+  /// `with_timing`, the start offset and duration in nanoseconds.
+  /// Deterministic for a given seed.
   std::string render_all(bool with_timing) const;
 
  private:

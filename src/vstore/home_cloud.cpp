@@ -226,7 +226,7 @@ Duration HomeCloud::estimate_move(const ExecSite& from, const ExecSite& to, Byte
   const bool from_cloud = from.kind == ExecSite::Kind::ec2;
   const bool to_cloud = to.kind == ExecSite::Kind::ec2;
   if (from_cloud && to_cloud) {
-    return milliseconds(10) + transfer_time(size, mib_per_sec(20.0));  // intra-cloud
+    return cloud::intra_cloud_move(size);
   }
   if (!from_cloud && !to_cloud) {
     return milliseconds(5) + transfer_time(size, config_.lan_rate);

@@ -60,7 +60,7 @@ struct HomeCloudConfig {
   double wan_latency_jitter = 0.2;
   double wan_rate_jitter = 0.45;
 
-  cloud::CloudTransport transport;
+  net::TcpProfile transport = cloud::s3_transport();  // home↔cloud
   kv::KvConfig kv;
   overlay::OverlayConfig overlay;
   mon::MonitorConfig monitor;
@@ -123,8 +123,7 @@ class HomeCloud {
   obs::Tracer& tracer() { return tracer_; }
 
   /// This home's metrics registry: its placement engine's counters
-  /// (c4h.placement.*). The network is the world's, so its counters land
-  /// in world().metrics().
+  /// (c4h.placement.*).
   obs::Registry& metrics() { return metrics_; }
 
   /// Root trace context for a new operation: null (all recording no-ops)

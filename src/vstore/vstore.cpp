@@ -599,8 +599,7 @@ sim::Task<Result<void>> VStoreNode::run_at_site(const ExecSite& site, const Exec
     if (!(site == owner_site)) {
       if (rec.location.is_cloud()) {
         if (site.kind == ExecSite::Kind::ec2) {
-          // S3 → EC2, intra-cloud.
-          co_await sim.delay(milliseconds(10) + transfer_time(size, mib_per_sec(20.0)));
+          co_await sim.delay(cloud::intra_cloud_move(size));
         } else {
           auto got = co_await cloud_.s3().get(site_domain(cloud_, site).host().net_node(),
                                               rec.location.url, mv.ctx());
@@ -626,7 +625,7 @@ sim::Task<Result<void>> VStoreNode::run_at_site(const ExecSite& site, const Exec
         if (!read.ok()) co_return read.error();
         if (site.kind == ExecSite::Kind::ec2) {
           co_await net.transfer(ownr->chimera().net_node(), cloud_.cloud_endpoint(), size,
-                                cloud_.config().transport.profile(), mv.ctx());
+                                cloud_.config().transport, mv.ctx());
         } else {
           co_await net.transfer(ownr->chimera().net_node(),
                                 site_domain(cloud_, site).host().net_node(), size,
@@ -661,7 +660,7 @@ sim::Task<Result<void>> VStoreNode::run_at_site(const ExecSite& site, const Exec
       if (site.kind == ExecSite::Kind::ec2) {
         if (out.output > 0) {
           co_await net.transfer(cloud_.cloud_endpoint(), chimera_.net_node(), out.output,
-                                cloud_.config().transport.profile(), rt.ctx());
+                                cloud_.config().transport, rt.ctx());
         } else {
           co_await net.send_message(cloud_.cloud_endpoint(), chimera_.net_node(), 50, rt.ctx());
         }

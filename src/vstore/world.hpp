@@ -1,7 +1,6 @@
 // World — what homes run in: one simulation clock, one topology and the
 // flow-level network built from it, one public cloud (its endpoint, S3 and
-// EC2), one world-scope metrics registry, and the registry of the homes
-// built into it.
+// EC2), and the registry of the homes built into it.
 //
 // There are two kinds of world. A standalone HomeCloud owns a private World
 // whose cloud endpoint hangs off the home's own gateway. A City
@@ -18,7 +17,6 @@
 
 #include "src/cloud/cloud.hpp"
 #include "src/net/network.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/sim/fault.hpp"
 #include "src/sim/simulation.hpp"
 
@@ -35,11 +33,6 @@ class World {
 
   sim::Simulation& sim() { return sim_; }
 
-  /// World-scope metrics: the network's counters, the workload driver's
-  /// latencies and, in a City, the federation's per-path fetch latencies.
-  /// Each home's placement engine records into HomeCloud::metrics().
-  obs::Registry& metrics() { return metrics_; }
-
   /// Topology is open for wiring until the first network() finalizes it.
   net::Topology& topology() {
     assert(net_ == nullptr && "topology frozen after first bootstrap");
@@ -54,19 +47,15 @@ class World {
   }
   net::NetNodeId cloud_endpoint() const { return cloud_ep_; }
 
-  /// Creates (on first call) and returns the world's network. Its message
-  /// and flow counters land in metrics().
+  /// Creates (on first call) and returns the world's network.
   net::Network& network() {
-    if (net_ == nullptr) {
-      net_ = std::make_unique<net::Network>(sim_, std::move(topo_));
-      net_->set_metrics(&metrics_);
-    }
+    if (net_ == nullptr) net_ = std::make_unique<net::Network>(sim_, std::move(topo_));
     return *net_;
   }
 
   /// The one public cloud, created lazily against the network. S3 takes
   /// the transport of the first caller.
-  cloud::S3Store& s3(const cloud::CloudTransport& transport) {
+  cloud::S3Store& s3(const net::TcpProfile& transport) {
     if (s3_ == nullptr) {
       s3_ = std::make_unique<cloud::S3Store>(network(), cloud_ep_, transport);
     }
@@ -126,7 +115,6 @@ class World {
 
  private:
   sim::Simulation sim_;
-  obs::Registry metrics_;
   net::Topology topo_;  // moved into net_ by the first network()
   net::NetNodeId cloud_ep_;
   std::unique_ptr<net::Network> net_;

@@ -205,8 +205,6 @@ std::uint64_t DriveResult::wrong() const {
 Driver::Driver(vstore::World& world, WorkloadSpec spec, federation::GeoFederation* fed)
     : homes_(world.all_homes()),
       sim_(world.sim()),
-      metrics_(world.metrics()),
-      metric_prefix_(fed != nullptr ? "c4h.workload.fed_" : "c4h.workload."),
       fed_(fed),
       spec_(std::move(spec)),
       done_(sim_) {
@@ -243,11 +241,6 @@ vstore::VStoreNode* Driver::pick_node(std::uint32_t tenant) {
     }
   }
   return nullptr;
-}
-
-obs::LogHistogram& Driver::latency_histogram(std::uint32_t tenant, OpKind kind) {
-  return metrics_.histogram(metric_prefix_ + to_string(kind) + ".latency_ns{tenant=" +
-                            spec_.tenants[tenant].name + "}");
 }
 
 sim::Task<Errc> Driver::store(vstore::VStoreNode& n, std::uint32_t tenant,
@@ -345,9 +338,7 @@ sim::Task<> Driver::execute(const ScheduledOp& op, const Schedule& s) {
   }
 
   if (err == Errc::ok) {
-    ++stats.ok[kind_idx];
-    latency_histogram(op.tenant, op.kind)
-        .record(static_cast<std::uint64_t>((sim_.now() - t0).count()));
+    stats.latency[kind_idx].record(static_cast<std::uint64_t>((sim_.now() - t0).count()));
   } else if (err == Errc::permission_denied) {
     ++stats.denied;
   } else {
@@ -416,18 +407,18 @@ sim::Task<> Driver::drive(const Schedule& s) {
   co_await sim::when_all(sim_, std::move(tasks));
 }
 
-void emit_tail_series(obs::BenchReport& report, const obs::Registry& registry) {
-  const obs::Snapshot snap = registry.snapshot();
-  const std::string prefix = "c4h.workload.";
-  const std::string tenant_tag = ".latency_ns{tenant=";
-  for (const auto& [name, hist] : snap.histograms) {
-    if (name.rfind(prefix, 0) != 0) continue;
-    const std::size_t tag = name.find(tenant_tag);
-    if (tag == std::string::npos || name.back() != '}') continue;
-    const std::string kind = name.substr(prefix.size(), tag - prefix.size());
-    const std::string tenant =
-        name.substr(tag + tenant_tag.size(), name.size() - 1 - tag - tenant_tag.size());
-    obs::add_latency_tails(report, tenant, "workload." + kind + ".latency", hist);
+void emit_tail_series(obs::BenchReport& report, const DriveResult& result,
+                      const std::string& prefix) {
+  std::vector<const TenantStats*> by_name;
+  for (const TenantStats& t : result.tenants) by_name.push_back(&t);
+  std::stable_sort(by_name.begin(), by_name.end(),
+                   [](const TenantStats* a, const TenantStats* b) { return a->name < b->name; });
+  for (const OpKind k : {OpKind::fetch, OpKind::fetch_process, OpKind::process, OpKind::store}) {
+    for (const TenantStats* t : by_name) {
+      const obs::LogHistogram& h = t->latency[static_cast<std::size_t>(k)];
+      if (h.count() == 0) continue;
+      obs::add_latency_tails(report, t->name, prefix + to_string(k) + ".latency", h);
+    }
   }
 }
 

@@ -16,8 +16,8 @@
 //    at their scheduled times (requests do NOT wait for each other — queues
 //    build when the system falls behind, as in production), runs closed-loop
 //    clients with think times, and records per-tenant/per-op latency
-//    histograms into the World's obs::Registry for tail-latency
-//    (p50/p99/p999) extraction.
+//    histograms into its DriveResult for tail-latency (p50/p99/p999)
+//    extraction.
 //
 // from_trace() adapts the modified-eDonkey generator (src/trace) into a
 // Schedule, pacing the trace's op list as an open-loop Poisson stream.
@@ -32,6 +32,7 @@
 #include "src/common/units.hpp"
 #include "src/federation/geo_federation.hpp"
 #include "src/obs/bench_emit.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 #include "src/trace/edonkey.hpp"
@@ -103,7 +104,9 @@ Schedule from_trace(const trace::TraceWorkload& w, int clients,
 struct TenantStats {
   std::string name;
   std::array<std::uint64_t, 4> issued{};  // indexed by OpKind
-  std::array<std::uint64_t, 4> ok{};
+  /// Latency of each successful op, indexed by OpKind; `latency[k].count()`
+  /// is the number of kind-k ops that succeeded.
+  std::array<obs::LogHistogram, 4> latency;
   std::uint64_t failed = 0;   // op returned an error (other than denial)
   std::uint64_t denied = 0;   // permission_denied from acl.hpp
   std::uint64_t skipped = 0;  // no online node / no service to run
@@ -112,7 +115,10 @@ struct TenantStats {
   std::uint64_t issued_total() const {
     return issued[0] + issued[1] + issued[2] + issued[3];
   }
-  std::uint64_t ok_total() const { return ok[0] + ok[1] + ok[2] + ok[3]; }
+  std::uint64_t ok(OpKind k) const { return latency[static_cast<std::size_t>(k)].count(); }
+  std::uint64_t ok_total() const {
+    return latency[0].count() + latency[1].count() + latency[2].count() + latency[3].count();
+  }
 };
 
 struct DriveResult {
@@ -146,9 +152,7 @@ struct DriveResult {
 /// the tenants living there, each node's application VM acting as its
 /// tenant's principal. In one home, node i serves tenant i mod T.
 ///
-/// Latencies of successful ops land in the World registry as
-/// `c4h.workload.<op>.latency_ns{tenant=<name>}` histograms, or as
-/// `c4h.workload.fed_<op>.latency_ns{tenant=<name>}` with a federation.
+/// Latencies of successful ops land in `result().tenants[t].latency`.
 class Driver {
  public:
   Driver(vstore::World& world, WorkloadSpec spec, federation::GeoFederation* fed = nullptr);
@@ -170,12 +174,9 @@ class Driver {
   sim::Task<Errc> store(vstore::VStoreNode& n, std::uint32_t tenant, const ObjectSpec& obj);
   vstore::HomeCloud& home_of(std::uint32_t tenant) { return *homes_[tenant % homes_.size()]; }
   vstore::VStoreNode* pick_node(std::uint32_t tenant);
-  obs::LogHistogram& latency_histogram(std::uint32_t tenant, OpKind kind);
 
   std::vector<vstore::HomeCloud*> homes_;  // World::all_homes() order
   sim::Simulation& sim_;
-  obs::Registry& metrics_;
-  std::string metric_prefix_;       // "c4h.workload." or "c4h.workload.fed_"
   federation::GeoFederation* fed_;  // null without a federation
   WorkloadSpec spec_;
   DriveResult result_;
@@ -189,9 +190,12 @@ class Driver {
   sim::Event done_;
 };
 
-/// Appends p50/p99/p999 (+ count and mean) rows to `report` for every
-/// `c4h.workload.*.latency_ns{tenant=*}` histogram in the registry — the
-/// c4h-bench-v1 tail-latency series every scenario bench emits.
-void emit_tail_series(obs::BenchReport& report, const obs::Registry& registry);
+/// Appends count/mean/p50/p99/p999 rows, labelled with the tenant's name and
+/// named `<prefix><op>.latency.*`, for every (tenant, op) latency histogram
+/// that recorded something — the c4h-bench-v1 tail-latency series every
+/// scenario bench emits. Rows go op by op (fetch, fetch_process, process,
+/// store), tenants in name order within each op.
+void emit_tail_series(obs::BenchReport& report, const DriveResult& result,
+                      const std::string& prefix = "workload.");
 
 }  // namespace c4h::workload

@@ -1,7 +1,8 @@
 // End-to-end tests for tools/bench-compare exit codes: a fresh artifact with
 // no baseline file must not be silently waved through (exit 3 + one-line
 // summary), a drifting value or a changed row set fails (exit 1, naming the
-// row), and a matching artifact is clean (exit 0).
+// row), an artifact that does not parse or repeats a row is an error (exit
+// 2), and a matching artifact is clean (exit 0).
 //
 // The binary path is injected by CMake as C4H_BENCH_COMPARE_BIN.
 #include <gtest/gtest.h>
@@ -146,4 +147,31 @@ TEST(BenchCompare, MalformedFreshArtifactIsAnIoError) {
   const CompareRun r =
       compare("--baseline " + root + "/baselines " + root + "/fresh/BENCH_demo.json");
   EXPECT_EQ(r.exit_code, 2) << r.output;
+}
+
+TEST(BenchCompare, DuplicateRowIsMalformed) {
+  // Keeping only one of two same-key rows would leave the other unchecked:
+  // 99 then 12.5 would pass against a baseline of 12.5.
+  const std::string root = make_scratch("bc_duplicate_row");
+  write_file(root + "/baselines/BENCH_demo.json", artifact_json("demo", 12.5));
+  write_file(root + "/fresh/BENCH_demo.json",
+             "{\"schema\":\"c4h-bench-v1\",\"bench\":\"demo\",\"seed\":42,\"series\":[" +
+                 row_json("fetch_ms", 99.0) + "," + row_json("fetch_ms", 12.5) + "]}");
+  const CompareRun r =
+      compare("--baseline " + root + "/baselines " + root + "/fresh/BENCH_demo.json");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_TRUE(r.contains("duplicate series row: n=8 / fetch_ms")) << r.output;
+}
+
+TEST(BenchCompare, MalformedBaselineIsAParseError) {
+  // A baseline that exists but does not parse is broken, not missing: it
+  // must not read as a new bench waiting for its first baseline.
+  const std::string root = make_scratch("bc_malformed_baseline");
+  write_file(root + "/baselines/BENCH_demo.json", "{ not json");
+  write_file(root + "/fresh/BENCH_demo.json", artifact_json("demo", 12.5));
+  const CompareRun r =
+      compare("--baseline " + root + "/baselines " + root + "/fresh/BENCH_demo.json");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_TRUE(r.contains("baselines/BENCH_demo.json: ")) << r.output;
+  EXPECT_FALSE(r.contains("MISSING")) << r.output;
 }

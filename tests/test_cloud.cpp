@@ -21,7 +21,7 @@ struct Rig {
   std::unique_ptr<net::Network> net;
   std::unique_ptr<S3Store> s3;
 
-  explicit Rig(CloudTransport t = {}, double wan_jitter = 0.0) {
+  explicit Rig(net::TcpProfile t = s3_transport(), double wan_jitter = 0.0) {
     net::Topology topo;
     home = topo.add_node();
     gw = topo.add_node();
@@ -108,7 +108,7 @@ TEST(S3, UploadSlowerThanDownload) {
 TEST(S3, RemoteLatencyFarExceedsLan) {
   // Fig 4's core claim: remote accesses are much slower and more variable
   // than LAN accesses for the same sizes.
-  Rig rig{{}, /*wan_jitter=*/0.5};
+  Rig rig{s3_transport(), /*wan_jitter=*/0.5};
   Accumulator remote;
   for (int i = 0; i < 12; ++i) {
     rig.run([i, &remote](Rig& r) -> Task<> {

@@ -147,7 +147,7 @@ TEST(CityWorld, SpineLatencyIsGeoDistance) {
   EXPECT_EQ(rig.city.site_latency(0, 0), Duration::zero());
 }
 
-// --- World: one home registry, one metrics rule, one chaos entry point ------
+// --- World: one home registry, one chaos entry point ------------------------
 
 TEST(World, StandaloneHomeIsTheOnlyHomeOfItsOwnWorld) {
   HomeCloud hc{CityRig::home_cfg("solo", 7)};
@@ -157,57 +157,6 @@ TEST(World, StandaloneHomeIsTheOnlyHomeOfItsOwnWorld) {
   EXPECT_EQ(&hc.sim(), &hc.world().sim());
   EXPECT_EQ(&hc.network(), &hc.world().network());
   EXPECT_EQ(hc.neighborhood(), nullptr);
-}
-
-bool has_net_metric(const obs::Registry& registry) {
-  const obs::Snapshot snap = registry.snapshot();
-  for (const auto& [name, value] : snap.counters) {
-    if (name.starts_with("c4h.net.")) return true;
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    if (name.starts_with("c4h.net.")) return true;
-  }
-  for (const auto& [name, hist] : snap.histograms) {
-    if (name.starts_with("c4h.net.")) return true;
-  }
-  return false;
-}
-
-std::uint64_t counter(const obs::Registry& registry, const std::string& name) {
-  const obs::Snapshot snap = registry.snapshot();
-  const auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
-// The network is the world's, in both worlds: its counters land in the
-// World registry, and a home's registry holds only that home's layers.
-TEST(World, NetworkCountersLandInTheWorldRegistry) {
-  HomeCloud hc{CityRig::home_cfg("solo", 7)};
-  hc.bootstrap();
-  hc.run([](HomeCloud& h) -> Task<> {
-    ObjectMeta m;
-    m.name = "solo/clip.jpg";
-    m.type = "jpg";
-    m.size = 1_MB;
-    (void)co_await h.node(0).create_object(m);
-    vstore::StoreOptions opts;
-    opts.policy.fallback = vstore::StoreTarget::remote_cloud;
-    auto s = co_await h.node(0).store_object(m.name, opts);
-    EXPECT_TRUE(s.ok());
-  }(hc));
-  EXPECT_GT(counter(hc.world().metrics(), "c4h.net.msg.count"), 0u);
-  EXPECT_GT(counter(hc.world().metrics(), "c4h.net.flow.count"), 0u);
-  EXPECT_FALSE(has_net_metric(hc.metrics()));
-
-  CityRig rig{7, 2};
-  rig.city.run([](CityRig& r) -> Task<> {
-    co_await r.store_in(r.home(0, 0), "city/clip.jpg", 1_MB, /*to_cloud=*/true);
-  }(rig));
-  EXPECT_GT(counter(rig.city.metrics(), "c4h.net.msg.count"), 0u);
-  EXPECT_GT(counter(rig.city.metrics(), "c4h.net.flow.count"), 0u);
-  for (const auto& home : rig.homes) {
-    EXPECT_FALSE(has_net_metric(home->metrics())) << home->config().home_name;
-  }
 }
 
 // What a flaps-only chaos plan does to every home's WAN. Every 10 ms the
@@ -351,7 +300,8 @@ TEST(Federation, PublishThenCrossHomeFetch) {
     EXPECT_GT(to_seconds(got->transfer), 1.0);
     EXPECT_GT(got->directory_lookup, Duration::zero());
   }(rig));
-  EXPECT_EQ(rig.fed->stats().fetches[static_cast<std::size_t>(FetchPath::neighborhood)], 1u);
+  EXPECT_EQ(rig.fed->stats().latency[static_cast<std::size_t>(FetchPath::neighborhood)].count(),
+            1u);
 }
 
 TEST(Federation, FetchOwnHomeUsesLocalPath) {
@@ -380,8 +330,9 @@ TEST(Federation, CloudResidentObjectServedFromS3) {
     EXPECT_EQ(got->path, FetchPath::cloud);
     EXPECT_TRUE(got->source_home.empty());
   }(rig));
-  EXPECT_EQ(rig.fed->stats().fetches[static_cast<std::size_t>(FetchPath::cloud)], 1u);
-  EXPECT_EQ(rig.fed->stats().fetches[static_cast<std::size_t>(FetchPath::neighborhood)], 0u);
+  EXPECT_EQ(rig.fed->stats().latency[static_cast<std::size_t>(FetchPath::cloud)].count(), 1u);
+  EXPECT_EQ(rig.fed->stats().latency[static_cast<std::size_t>(FetchPath::neighborhood)].count(),
+            0u);
 }
 
 TEST(Federation, UnpublishedObjectNotFound) {
@@ -499,10 +450,10 @@ TEST(GeoFederation, FetchClassifiesAllFourPaths) {
     EXPECT_EQ(cl->path, FetchPath::cloud);
   }(rig));
   const GeoStats& s = rig.fed->stats();
-  EXPECT_EQ(s.fetches[static_cast<std::size_t>(FetchPath::local)], 1u);
-  EXPECT_EQ(s.fetches[static_cast<std::size_t>(FetchPath::neighborhood)], 1u);
-  EXPECT_EQ(s.fetches[static_cast<std::size_t>(FetchPath::wide_area)], 1u);
-  EXPECT_EQ(s.fetches[static_cast<std::size_t>(FetchPath::cloud)], 1u);
+  EXPECT_EQ(s.latency[static_cast<std::size_t>(FetchPath::local)].count(), 1u);
+  EXPECT_EQ(s.latency[static_cast<std::size_t>(FetchPath::neighborhood)].count(), 1u);
+  EXPECT_EQ(s.latency[static_cast<std::size_t>(FetchPath::wide_area)].count(), 1u);
+  EXPECT_EQ(s.latency[static_cast<std::size_t>(FetchPath::cloud)].count(), 1u);
   EXPECT_EQ(s.fetch_errors, 0u);
 }
 
@@ -532,7 +483,8 @@ TEST(GeoFederation, CrossHomeFetchesContendOnTheSourceUplink) {
     }(r, shared_b));
     co_await sim::when_all(r.city.sim(), std::move(both));
   }(rig));
-  EXPECT_EQ(rig.fed->stats().fetches[static_cast<std::size_t>(FetchPath::neighborhood)], 3u);
+  EXPECT_EQ(rig.fed->stats().latency[static_cast<std::size_t>(FetchPath::neighborhood)].count(),
+            3u);
   ASSERT_GT(solo, 0.0);
   EXPECT_GT(shared_a, solo * 1.4);
   EXPECT_GT(shared_b, solo * 1.4);
@@ -667,7 +619,10 @@ TEST(GeoFederation, SameSeedRunsAreIdentical) {
   episode(a);
   episode(b);
   EXPECT_EQ(a.fed->fingerprint(), b.fed->fingerprint());
-  EXPECT_EQ(a.fed->stats().fetches, b.fed->stats().fetches);
+  for (std::size_t p = 0; p < kFetchPaths; ++p) {
+    EXPECT_EQ(a.fed->stats().latency[p].count(), b.fed->stats().latency[p].count()) << p;
+    EXPECT_EQ(a.fed->stats().latency[p].sum(), b.fed->stats().latency[p].sum()) << p;
+  }
   EXPECT_EQ(a.city.sim().now(), b.city.sim().now());
   EXPECT_FALSE(a.fed->fingerprint().empty());
 
@@ -680,8 +635,9 @@ TEST(GeoFederation, SameSeedRunsAreIdentical) {
   // history byte for byte. Update the constants only for an intended model
   // change, and say why in the commit.
   EXPECT_EQ(a.city.sim().now().count(), 6277977401LL);
-  EXPECT_EQ(a.fed->stats().fetches[0] + a.fed->stats().fetches[1] + a.fed->stats().fetches[2] +
-                a.fed->stats().fetches[3],
+  const GeoStats& st = a.fed->stats();
+  EXPECT_EQ(st.latency[0].count() + st.latency[1].count() + st.latency[2].count() +
+                st.latency[3].count(),
             4u);
   EXPECT_EQ(a.fed->fingerprint(),
             "0:city/obj-1:327680:1:|1/h1-0/7469f5c6e7|0/h0-0/888acbca86;"

@@ -317,19 +317,6 @@ vstore::HomeCloudConfig small_home(std::string name, int nodes, std::uint64_t se
   return cfg;
 }
 
-/// Samples in `tenant`'s `<prefix><kind>` latency histogram (0 when it was
-/// never recorded).
-std::uint64_t latency_count(const obs::Registry& registry, const std::string& prefix,
-                            OpKind kind, const std::string& tenant) {
-  const obs::Snapshot snap = registry.snapshot();
-  const auto it =
-      snap.histograms.find(prefix + to_string(kind) + ".latency_ns{tenant=" + tenant + "}");
-  return it == snap.histograms.end() ? 0 : it->second.count();
-}
-
-constexpr OpKind kAllKinds[] = {OpKind::store, OpKind::fetch, OpKind::process,
-                                OpKind::fetch_process};
-
 TEST(Driver, OneHomeAccountsForEveryOp) {
   const WorkloadSpec spec = store_fetch_spec(3, 4);
   vstore::HomeCloud hc{small_home("home", 5, 4)};
@@ -349,11 +336,6 @@ TEST(Driver, OneHomeAccountsForEveryOp) {
   EXPECT_EQ(r.issued(), schedule.ops.size());
   for (const TenantStats& ts : r.tenants) {
     EXPECT_EQ(ts.issued_total(), ts.ok_total() + ts.failed + ts.denied) << ts.name;
-    for (const OpKind k : kAllKinds) {
-      EXPECT_EQ(latency_count(hc.world().metrics(), "c4h.workload.", k, ts.name),
-                ts.ok[static_cast<std::size_t>(k)])
-          << ts.name << " " << to_string(k);
-    }
   }
   for (const ObjectSpec& o : schedule.objects) {
     const auto it = r.acked.find(o.name);
@@ -380,6 +362,62 @@ TEST(Driver, SkippedOpIsNeverCountedAsIssued) {
   EXPECT_EQ(ts.issued[static_cast<std::size_t>(OpKind::process)], 0u);
   EXPECT_EQ(ts.issued_total(), ts.ok_total() + ts.failed + ts.denied);
   EXPECT_EQ(ts.issued_total() + ts.skipped, schedule.ops.size());
+}
+
+/// The `label metric` of every row emit_tail_series() appends.
+std::vector<std::string> tail_rows(const DriveResult& r, const std::string& prefix) {
+  obs::BenchReport report("tails", 1);
+  emit_tail_series(report, r, prefix);
+  std::vector<std::string> rows;
+  for (const obs::BenchPoint& p : report.series()) rows.push_back(p.label + " " + p.metric);
+  return rows;
+}
+
+/// The five rows of one (tenant, op) latency series.
+void expect_series(std::vector<std::string>& want, const std::string& tenant,
+                   const std::string& metric) {
+  for (const char* stat : {".count", ".mean", ".p50", ".p99", ".p999"}) {
+    want.push_back(tenant + " " + metric + stat);
+  }
+}
+
+// Rows go op by op (fetch, fetch_process, process, store) with tenants in
+// name order inside each op, and a (tenant, op) that recorded nothing emits
+// nothing: the order the scenario artifacts and their baselines hold.
+TEST(Driver, TailSeriesGoOpByOpWithTenantsInNameOrder) {
+  DriveResult r;
+  r.tenants.resize(3);
+  r.tenants[0].name = "sensors";
+  r.tenants[1].name = "dashboard";
+  r.tenants[2].name = "idle";
+  const auto kind = [](OpKind k) { return static_cast<std::size_t>(k); };
+  for (std::uint64_t ms = 1; ms <= 4; ++ms) {
+    r.tenants[0].latency[kind(OpKind::store)].record(ms * 1'000'000);
+  }
+  r.tenants[1].latency[kind(OpKind::fetch)].record(20'000'000);
+  r.tenants[1].latency[kind(OpKind::process)].record(300'000'000);
+
+  std::vector<std::string> want;
+  expect_series(want, "dashboard", "tails.fetch.latency");
+  expect_series(want, "dashboard", "tails.process.latency");
+  expect_series(want, "sensors", "tails.store.latency");
+  EXPECT_EQ(tail_rows(r, "tails."), want);
+
+  // Two tenants on one op: name order inside the op, ops still outermost.
+  r.tenants[0].latency[kind(OpKind::fetch)].record(5'000'000);
+  want.clear();
+  expect_series(want, "dashboard", "workload.fetch.latency");
+  expect_series(want, "sensors", "workload.fetch.latency");
+  expect_series(want, "dashboard", "workload.process.latency");
+  expect_series(want, "sensors", "workload.store.latency");
+  EXPECT_EQ(tail_rows(r, "workload."), want);
+
+  obs::BenchReport report("tails", 1);
+  emit_tail_series(report, r);
+  ASSERT_EQ(report.series().size(), want.size());
+  EXPECT_EQ(report.series()[0].value, 1.0);    // dashboard's fetches
+  EXPECT_EQ(report.series()[15].value, 4.0);   // sensors' stores
+  EXPECT_EQ(report.series()[0].metric, "workload.fetch.latency.count");  // default prefix
 }
 
 /// A City of `neighborhoods` neighborhoods with one three-node home each.
@@ -425,31 +463,14 @@ TEST(Driver, CityPublishesStoresAndFetchesThroughTheFederation) {
   EXPECT_EQ(r.cross_hood_fetches, others);
 
   std::uint64_t ok_fetches = 0;
-  for (const TenantStats& ts : r.tenants) {
-    ok_fetches += ts.ok[static_cast<std::size_t>(OpKind::fetch)];
-  }
-  const auto& by_path = c.fed->stats().fetches;
-  EXPECT_EQ(by_path[0] + by_path[1] + by_path[2] + by_path[3], ok_fetches);
+  for (const TenantStats& ts : r.tenants) ok_fetches += ts.ok(OpKind::fetch);
+  std::uint64_t served = 0;
+  for (const obs::LogHistogram& tier : c.fed->stats().latency) served += tier.count();
+  EXPECT_EQ(served, ok_fetches);
 
   EXPECT_EQ(r.acked.size(), schedule.objects.size());
   for (const auto& [name, size] : r.acked) {
     EXPECT_GT(c.fed->live_replicas(name), 0u) << name;
-  }
-
-  // Latencies land in the City registry under the fed_ names, and in no
-  // home's registry.
-  for (const TenantStats& ts : r.tenants) {
-    for (const OpKind k : kAllKinds) {
-      EXPECT_EQ(latency_count(c.city.metrics(), "c4h.workload.fed_", k, ts.name),
-                ts.ok[static_cast<std::size_t>(k)])
-          << ts.name << " " << to_string(k);
-    }
-  }
-  for (const auto& hc : c.homes) {
-    const obs::Snapshot snap = hc->metrics().snapshot();
-    for (const auto& [name, hist] : snap.histograms) {
-      EXPECT_NE(name.rfind("c4h.workload.", 0), 0u) << hc->config().home_name << ": " << name;
-    }
   }
 }
 
@@ -489,7 +510,7 @@ TEST(Driver, CityWithMoreTenantsThanHomesGivesEachNodeOneTenant) {
 
   EXPECT_EQ(r.issued(), schedule.ops.size());
   for (const TenantStats& ts : r.tenants) {
-    EXPECT_GT(ts.ok[static_cast<std::size_t>(OpKind::store)], 0u) << ts.name;
+    EXPECT_GT(ts.ok(OpKind::store), 0u) << ts.name;
     EXPECT_EQ(ts.denied, 0u) << ts.name;
     EXPECT_EQ(ts.issued_total(), ts.ok_total() + ts.failed + ts.denied) << ts.name;
   }

@@ -13,7 +13,11 @@
 //
 // Exit codes: 0 = clean (warnings allowed), 1 = simulated drift, 2 = usage /
 // IO / parse error, 3 = a fresh artifact has no baseline file at all (a new
-// bench must be baselined deliberately, not silently waved through).
+// bench must be baselined deliberately, not silently waved through). A
+// baseline file that exists but does not parse is a parse error, not a
+// missing baseline. An artifact (fresh or baseline) that repeats a
+// (label, metric) row is malformed: only one of the two values could be
+// compared.
 //
 // A simulated value drifts when it differs from its baseline by more than
 // 1e-9 relative (absolute below 1). Every baseline is the artifact of the
@@ -60,12 +64,8 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-bool load_artifact(const std::string& path, Artifact& a, std::string& err) {
-  std::string text;
-  if (!read_file(path, text)) {
-    err = "cannot read " + path;
-    return false;
-  }
+bool parse_artifact(const std::string& path, const std::string& text, Artifact& a,
+                    std::string& err) {
   auto parsed = c4h::obs::json_parse(text);
   if (!parsed.ok()) {
     err = path + ": " + parsed.error().message;
@@ -96,7 +96,10 @@ bool load_artifact(const std::string& path, Artifact& a, std::string& err) {
     Point p;
     p.value = value->num;
     if (unit != nullptr) p.unit = unit->str;
-    a.points[label->str + '\x1f' + metric->str] = p;
+    if (!a.points.emplace(label->str + '\x1f' + metric->str, p).second) {
+      err = path + ": duplicate series row: " + label->str + " / " + metric->str;
+      return false;
+    }
   }
   return true;
 }
@@ -138,18 +141,23 @@ int main(int argc, char** argv) {
   int missing_baselines = 0;
   for (const std::string& path : fresh) {
     const std::string base_path = baseline_dir + '/' + basename_of(path);
+    std::string text;
     Artifact now;
-    std::string err;
-    if (!load_artifact(path, now, err)) {
+    std::string err = "cannot read " + path;
+    if (!read_file(path, text) || !parse_artifact(path, text, now, err)) {
       std::fprintf(stderr, "bench-compare: %s\n", err.c_str());
       return 2;
     }
     Artifact base;
-    if (!load_artifact(base_path, base, err)) {
+    if (!read_file(base_path, text)) {
       std::printf("%-28s MISSING baseline (%s)\n", now.bench.c_str(),
                   basename_of(base_path).c_str());
       ++missing_baselines;
       continue;
+    }
+    if (!parse_artifact(base_path, text, base, err)) {
+      std::fprintf(stderr, "bench-compare: %s\n", err.c_str());
+      return 2;
     }
     if (base.seed != now.seed) {
       std::printf("%-28s FAIL seed mismatch (baseline %.0f, fresh %.0f)\n", now.bench.c_str(),
