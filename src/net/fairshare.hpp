@@ -26,17 +26,22 @@ namespace c4h::net {
 ///
 /// Usage: clear(), add_flow() once per flow, solve(), then rate(i) for the
 /// i-th added flow. Each round raises every unfrozen flow by one increment:
-/// the minimum of (capacity − used) / unfrozen-count over loaded links in
-/// ascending id, then of (cap − rate) over unfrozen flows in add order,
-/// clamped at 0. Then every unfrozen flow that reached its cap (within
-/// 1e-7) or crosses a link within 1e-7 of capacity freezes.
+/// the minimum of (capacity − used) / unfrozen-count over loaded links and
+/// of (cap − rate) over unfrozen flows, clamped at 0. Then every unfrozen
+/// flow that reached its cap (within 1e-7) or crosses a link within 1e-7 of
+/// capacity freezes.
 ///
-/// Rounds visit only unfrozen flows and still-loaded links, and per-link
-/// unfrozen counts are decremented on freeze instead of recounted. The
-/// minimum is still taken over the same values in the same order, and each
-/// link's `used` receives the same additions in the same order, so every
-/// rate is bitwise the textbook loop's over all flows and all links (the
-/// loop tests/test_fairshare.cpp keeps as its oracle).
+/// Rounds visit only unfrozen flows and still-loaded links (in the order
+/// the flows first loaded them), and per-link unfrozen counts are
+/// decremented on freeze instead of recounted. The minimum is still taken
+/// over the same values. A minimum of non-NaN doubles does not depend on
+/// visiting order except for the sign of a zero, and a zero increment adds
+/// nothing to a rate or a `used`, which start at +0. No value is NaN when
+/// no capacity or cap is: `used` turns infinite only through an infinite
+/// increment, which freezes every flow. Each link's `used` receives the
+/// same additions in the same order, so every rate is bitwise the textbook
+/// loop's over all flows and all links (the loop tests/test_fairshare.cpp
+/// keeps as its oracle).
 class MaxMinSolver {
  public:
   void clear() { flows_.clear(); }
@@ -77,7 +82,6 @@ class MaxMinSolver {
         }
       }
     }
-    std::sort(loaded_.begin(), loaded_.end());
 
     constexpr double kEps = 1e-7;
     while (!unfrozen_.empty()) {
@@ -124,7 +128,7 @@ class MaxMinSolver {
   std::vector<Flow> flows_;
   std::vector<Rate> rate_;
   std::vector<std::uint32_t> unfrozen_;  // flow indices, ascending
-  std::vector<std::uint32_t> loaded_;    // links with unfrozen flows, ascending
+  std::vector<std::uint32_t> loaded_;    // links with unfrozen flows, in first-load order
   // Indexed by link id. active_ is all zero between solves; used_ and
   // capacity_ are only read for links in loaded_.
   std::vector<std::uint32_t> active_;

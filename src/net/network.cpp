@@ -25,10 +25,7 @@ sim::Task<> Network::transfer(NetNodeId src, NetNodeId dst, Bytes size, TcpProfi
     co_return;
   }
 
-  const auto& path = topo_.route(src, dst);
-  sim::Event done{sim_};
-  add_flow(path, size, profile, done);
-  co_await done.wait();
+  co_await Admission{*this, topo_.route(src, dst), size, profile};
   ++stats_.flows_completed;
   stats_.bytes_delivered += static_cast<double>(size);
 }
@@ -121,21 +118,20 @@ double Network::flow_cap(const Flow& f) const {
   // window-unconstrained paths. The bottleneck is re-read every solve so
   // runtime capacity changes take effect on in-flight flows.
   Rate bottleneck = std::numeric_limits<Rate>::infinity();
-  for (const LinkId lid : f.links) {
+  for (const LinkId lid : *f.links) {
     bottleneck = std::min(bottleneck, topo_.link(lid).capacity);
   }
   return std::min(f.profile.steady_rate(), bottleneck) *
          f.profile.phase_fraction(static_cast<Bytes>(f.done)) * f.jitter_mult;
 }
 
-void Network::add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
-                       sim::Event& completion) {
+bool Network::add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
+                       std::coroutine_handle<> waiter) {
   Flow f;
-  f.links = links;
+  f.links = &links;
   f.total = static_cast<double>(size);
   f.profile = profile;
   f.last_update = sim_.now();
-  f.completion = &completion;
   // Per-flow WAN variability: one multiplier for the flow's lifetime, drawn
   // from the most variable link on the path. Link capacities are nominal
   // *average* bandwidth; the multiplier models the burst/lull a given flow
@@ -146,8 +142,13 @@ void Network::add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile 
     sigma = std::max(sigma, topo_.link(lid).rate_jitter);
   }
   if (sigma > 0) f.jitter_mult = std::clamp(rng_.lognormal_mean(1.0, sigma), 0.25, 3.0);
-  flows_.emplace(next_flow_id_++, std::move(f));
+  flows_.push_back(f);
   recompute();
+  // Every other flow has a waiter, so a waiterless last flow is this one,
+  // still in flight.
+  if (flows_.empty() || flows_.back().waiter) return false;
+  flows_.back().waiter = waiter;
+  return true;
 }
 
 Duration Network::time_to_event(const Flow& f) const {
@@ -160,42 +161,45 @@ Duration Network::time_to_event(const Flow& f) const {
 
 void Network::recompute() {
   // Credit every flow's progress at the rate it ran since its last update,
-  // then retire the finished ones.
+  // then retire the finished ones, compacting the table in place.
   const TimePoint now = sim_.now();
-  std::vector<sim::Event*> completed;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    Flow& f = it->second;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& f = flows_[i];
     const double elapsed = to_seconds(now - f.last_update);
     if (elapsed > 0) f.done = std::min(f.total, f.done + elapsed * f.rate);
     f.last_update = now;
     if (f.total - f.done <= kByteEps) {
-      completed.push_back(f.completion);
-      it = flows_.erase(it);
+      if (f.waiter) completed_.push_back(f.waiter);  // none: retired in its admission
     } else {
-      ++it;
+      flows_[kept++] = f;
     }
   }
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept), flows_.end());
 
-  // Solve max-min rates for the remaining flows, ascending id.
+  // Solve max-min rates for the remaining flows, in admission order.
   solver_.clear();
-  for (const auto& [id, f] : flows_) solver_.add_flow(f.links, flow_cap(f));
+  for (const Flow& f : flows_) solver_.add_flow(*f.links, flow_cap(f));
   solver_.solve([this](LinkId l) { return topo_.link(l).capacity; });
 
   // The next network event: the earliest completion or TCP phase boundary.
   Duration next = Duration::max();
-  std::size_t i = 0;
-  for (auto& [id, f] : flows_) {
-    f.rate = solver_.rate(i++);
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& f = flows_[i];
+    f.rate = solver_.rate(i);
     if (f.rate <= 0) continue;  // parked until some other event frees capacity
     next = std::min(next, time_to_event(f));
   }
   sim_.cancel(next_event_);
   if (next != Duration::max()) next_event_ = sim_.schedule(next, [this] { recompute(); });
 
-  // Completions fire last. Event::fire only schedules each waiter's
-  // resumption, so nothing re-enters recompute(); firing after the next flow
-  // event is scheduled keeps the queue's (timestamp, seq) order.
-  for (sim::Event* e : completed) e->fire();
+  // Completed transfers resume last, each in its own zero-delay event, so
+  // nothing re-enters recompute(); scheduling them after the next flow event
+  // keeps the queue's (timestamp, seq) order.
+  for (const std::coroutine_handle<> h : completed_) {
+    sim_.schedule(Duration::zero(), [h] { h.resume(); });
+  }
+  completed_.clear();
 }
 
 }  // namespace c4h::net

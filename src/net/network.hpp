@@ -16,8 +16,9 @@
 // latency: they never book bandwidth.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/net/fairshare.hpp"
@@ -92,18 +93,35 @@ class Network {
 
  private:
   struct Flow {
-    std::vector<LinkId> links;
+    // The memoized route in topo_. Network owns its Topology and never adds
+    // a node or link to it, so route()'s vectors are never cleared while a
+    // flow points at one.
+    const std::vector<LinkId>* links;
     double total;           // bytes
     double done = 0;        // bytes delivered
     TcpProfile profile;
     double jitter_mult = 1.0;
     Rate rate = 0;
     TimePoint last_update{};
-    sim::Event* completion = nullptr;  // fired once the last byte lands
+    std::coroutine_handle<> waiter;  // the transfer() resumed once the last byte lands
   };
 
-  void add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
-                sim::Event& completion);
+  // What transfer() awaits: admits the flow once the coroutine is suspended.
+  // A flow that retires inside its own admission (0 bytes) resumes the
+  // coroutine at once, without an event.
+  struct Admission {
+    Network& net;
+    const std::vector<LinkId>& links;
+    Bytes size;
+    TcpProfile profile;
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) { return net.add_flow(links, size, profile, h); }
+    void await_resume() const noexcept {}
+  };
+
+  /// Admits a flow and re-solves; false if it retired inside its admission.
+  bool add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
+                std::coroutine_handle<> waiter);
   void recompute();
   double flow_cap(const Flow& f) const;         // TCP/bottleneck/jitter rate cap
   Duration time_to_event(const Flow& f) const;  // to completion or phase boundary
@@ -112,12 +130,12 @@ class Network {
   Topology topo_;
   Rng rng_;
   Duration hop_processing_ = microseconds(100);
-  std::uint64_t next_flow_id_ = 1;
-  // Ordered by id (= admission order), not hashed: recompute() iterates this
-  // table to build the max-min solver's inputs, and floating-point
-  // summation order must not depend on hash-table layout — determinism
-  // rule D3 (c4h-analyze).
-  std::map<std::uint64_t, Flow> flows_;
+  // In admission order: recompute() compacts it in place as flows retire,
+  // so the max-min solver always sees flows in the same order. Its
+  // floating-point summation order therefore depends on nothing but the
+  // history — determinism rule D3 (c4h-analyze).
+  std::vector<Flow> flows_;
+  std::vector<std::coroutine_handle<>> completed_;  // recompute()'s scratch
   sim::EventId next_event_;  // the one pending flow event
   MaxMinSolver solver_;
   NetworkStats stats_;

@@ -46,23 +46,27 @@ sim::Task<> Host::execute(Domain& domain, double gigacycles, int threads) {
   if (gigacycles <= 0) co_return;
   drain_battery_to_now();
 
-  sim::Event done{sim_};
-  const std::uint64_t id = next_job_id_++;
   Job job;
-  job.id = id;
   job.remaining = gigacycles;
   const int usable = std::max(1, std::min(threads, domain.vcpus()));
   job.cap = usable * spec_.ghz * (1.0 - spec_.virt_overhead);
   job.last_update = sim_.now();
-  job.done = &done;
-  jobs_.emplace(id, job);
+  co_await Admission{*this, job};
+}
+
+bool Host::add_job(const Job& job, std::coroutine_handle<> waiter) {
+  jobs_.push_back(job);
   recompute();
-  co_await done.wait();
+  // Every other job has a waiter, so a waiterless last job is this one,
+  // still running.
+  if (jobs_.empty() || jobs_.back().waiter) return false;
+  jobs_.back().waiter = waiter;
+  return true;
 }
 
 double Host::cpu_utilization() const {
   double used = 0;
-  for (const auto& [id, j] : jobs_) used += j.rate;
+  for (const Job& j : jobs_) used += j.rate;
   const double cap = capacity();
   return cap > 0 ? std::min(1.0, used / cap) : 0.0;
 }
@@ -93,7 +97,7 @@ void Host::drain_battery_to_now() {
 
 void Host::advance() {
   const TimePoint now = sim_.now();
-  for (auto& [id, j] : jobs_) {
+  for (Job& j : jobs_) {
     const double elapsed = to_seconds(now - j.last_update);
     if (elapsed > 0) j.remaining = std::max(0.0, j.remaining - elapsed * j.rate);
     j.last_update = now;
@@ -104,34 +108,38 @@ void Host::recompute() {
   drain_battery_to_now();  // integrate at the old utilization first
   advance();
 
-  std::vector<sim::Event*> completed;
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    if (it->second.remaining <= kCycleEps) {
-      completed.push_back(it->second.done);
-      it = jobs_.erase(it);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    const Job& j = jobs_[i];
+    if (j.remaining <= kCycleEps) {
+      if (j.waiter) completed_.push_back(j.waiter);  // none: retired in its admission
     } else {
-      ++it;
+      jobs_[kept++] = j;
     }
   }
+  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(kept), jobs_.end());
 
   // One "link" (host capacity) shared max-min with per-job parallelism caps.
   static constexpr std::uint32_t kCpu[] = {0};
   solver_.clear();
-  for (const auto& [id, j] : jobs_) solver_.add_flow(kCpu, j.cap);
+  for (const Job& j : jobs_) solver_.add_flow(kCpu, j.cap);
   solver_.solve([this](std::uint32_t) { return capacity(); });
 
   // One pending event, as in net::Network: the earliest job completion.
   Duration next = Duration::max();
-  std::size_t i = 0;
-  for (auto& [id, j] : jobs_) {
-    j.rate = solver_.rate(i++);
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    Job& j = jobs_[i];
+    j.rate = solver_.rate(i);
     if (j.rate <= 0) continue;
     next = std::min(next, from_seconds(j.remaining / j.rate));
   }
   sim_.cancel(next_event_);
   if (next != Duration::max()) next_event_ = sim_.schedule(next, [this] { recompute(); });
 
-  for (auto* ev : completed) ev->fire();
+  for (const std::coroutine_handle<> h : completed_) {
+    sim_.schedule(Duration::zero(), [h] { h.resume(); });
+  }
+  completed_.clear();
 }
 
 }  // namespace c4h::vmm

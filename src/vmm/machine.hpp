@@ -16,7 +16,7 @@
 // between job arrivals/departures — the same fluid approach as the network.
 #pragma once
 
-#include <map>
+#include <coroutine>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,14 +130,26 @@ class Host {
 
  private:
   struct Job {
-    std::uint64_t id;
     double remaining;  // gigacycles
     double cap;        // Gcycles/sec this job can use at most
     double rate = 0;
     TimePoint last_update{};
-    sim::Event* done;
+    std::coroutine_handle<> waiter;  // the execute() resumed once the work is done
   };
 
+  // What execute() awaits: admits the job once the coroutine is suspended; a
+  // job that retires inside its own admission resumes it at once, as in
+  // net::Network.
+  struct Admission {
+    Host& host;
+    Job job;
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) { return host.add_job(job, h); }
+    void await_resume() const noexcept {}
+  };
+
+  /// Admits a job and re-solves; false if it retired inside its admission.
+  bool add_job(const Job& job, std::coroutine_handle<> waiter);
   void advance();
   void recompute();
   void drain_battery_to_now();
@@ -149,11 +161,12 @@ class Host {
   net::NetNodeId net_node_;
   bool online_ = true;
 
-  std::uint64_t next_job_id_ = 1;
-  // Ordered by id (= submission order), not hashed: recompute() iterates this
-  // table into the fair-share solver and cpu_utilization() sums rates, so
-  // iteration order must be seed-stable — determinism rule D3 (c4h-analyze).
-  std::map<std::uint64_t, Job> jobs_;
+  // In submission order, compacted in place as jobs retire: recompute()
+  // feeds it to the fair-share solver and cpu_utilization() sums its rates,
+  // so the order depends on nothing but the history — determinism rule D3
+  // (c4h-analyze).
+  std::vector<Job> jobs_;
+  std::vector<std::coroutine_handle<>> completed_;  // recompute()'s scratch
   sim::EventId next_event_;  // the earliest job completion
   net::MaxMinSolver solver_;
 

@@ -36,9 +36,9 @@ constexpr int kWarmup = 60;
 constexpr int kOps = 120;
 
 // Ceilings: the exact counts of the current op path over kOps ops, 16.9
-// allocations per store and 9.6 per fetch.
+// allocations per store and 5.6 per fetch.
 constexpr std::uint64_t kStoreCeiling = 2027;
-constexpr std::uint64_t kFetchCeiling = 1154;
+constexpr std::uint64_t kFetchCeiling = 674;
 
 std::string object_name(int i) { return "budget-" + std::to_string(i) + ".dat"; }
 

@@ -7,12 +7,15 @@
 //
 // The Network-level suite then drives randomized transfer programs over
 // default, slow-start, policed, jittered and striped transports: every
-// transfer must complete, every flow must retire, and a rerun of the same
-// seed must finish each transfer at the same nanosecond.
+// transfer must complete, every flow must retire, a rerun of the same seed
+// must finish each transfer at the same nanosecond, and those nanoseconds
+// must match pinned digests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -174,13 +177,18 @@ struct Star {
   }
 };
 
+// The seeds every transport's program runs at.
+constexpr std::uint64_t kSeeds[] = {5, 29, 101};
+
 // How a program's transfers travel: the TCP profile of every flow, per-flow
-// rate jitter on the star's links, and the stripes per transfer.
+// rate jitter on the star's links, and the stripes per transfer. `digest`
+// pins what its programs compute at kSeeds (fnv1a() of run_program()).
 struct Transport {
   const char* name;
   TcpProfile profile;
   double rate_jitter = 0.0;
   int streams = 1;
+  std::uint64_t digest[3] = {};
 };
 
 TcpProfile phased(Bytes slow_start, Bytes policing_burst) {
@@ -198,11 +206,16 @@ TcpProfile phased(Bytes slow_start, Bytes policing_burst) {
 void PrintTo(const Transport& t, std::ostream* os) { *os << t.name; }
 
 const Transport kTransports[] = {
-    {"default", {}},
-    {"slow_start", phased(96_KB, 0)},
-    {"policed", phased(0, 256_KB)},
-    {"slow_start_policed_jitter", phased(96_KB, 256_KB), 0.4},
-    {"striped", phased(96_KB, 256_KB), 0.0, 3},
+    {"default", {}, 0.0, 1,
+     {16505175053221591729ull, 8023590959377588392ull, 11418227871459322829ull}},
+    {"slow_start", phased(96_KB, 0), 0.0, 1,
+     {5731908511573115650ull, 10169189960546080115ull, 3536801460372759971ull}},
+    {"policed", phased(0, 256_KB), 0.0, 1,
+     {11325787236554650695ull, 5132835386309578874ull, 1356347576705918565ull}},
+    {"slow_start_policed_jitter", phased(96_KB, 256_KB), 0.4, 1,
+     {13820903617184578992ull, 3007403927380282400ull, 16975052104261018294ull}},
+    {"striped", phased(96_KB, 256_KB), 0.0, 3,
+     {6932804201662384566ull, 10434372262910311475ull, 9685133334032221159ull}},
 };
 
 // Runs a randomized transfer program and returns each transfer's completion
@@ -250,10 +263,33 @@ TEST_P(NetworkProgram, CompletesEveryTransferAndReplaysExactly) {
   // The phased transports make flows cross TCP phase boundaries while other
   // flows' events re-rate them; striping makes stripes cross them together.
   const Transport& tr = GetParam();
-  for (const std::uint64_t seed : {5ull, 29ull, 101ull}) {
+  for (const std::uint64_t seed : kSeeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const auto first = run_program(seed, tr);
     EXPECT_EQ(first, run_program(seed, tr));
+  }
+}
+
+// FNV-1a over each completion time's eight bytes, low byte first.
+std::uint64_t fnv1a(const std::vector<std::int64_t>& done_at) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::int64_t t : done_at) {
+    auto v = static_cast<std::uint64_t>(t);
+    for (int b = 0; b < 8; ++b, v >>= 8) {
+      h ^= v & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST_P(NetworkProgram, CompletionTimesMatchPinnedDigests) {
+  // Replaying a program only shows that it is deterministic. The digests pin
+  // what it computes, so a change that moves any transfer's completion by a
+  // nanosecond under slow start, policing, rate jitter or stripes fails here.
+  const Transport& tr = GetParam();
+  for (std::size_t i = 0; i < std::size(kSeeds); ++i) {
+    EXPECT_EQ(fnv1a(run_program(kSeeds[i], tr)), tr.digest[i]) << "seed " << kSeeds[i];
   }
 }
 

@@ -407,13 +407,51 @@ TEST(Network, EventDrivenMatchesAnalyticModel) {
 }
 
 TEST(Network, ZeroSizeTransferCompletes) {
+  // A 0-byte flow retires inside its own admission and its transfer goes on
+  // at once: it costs the handshake and the path latency, and no event
+  // beyond the spawn and the setup delay.
   Simulation sim;
   auto hp = make_lan();
   Network net{sim, std::move(hp.topo)};
+  TcpProfile p;
+  p.handshake = milliseconds(3);
   Duration took{};
-  sim.spawn(timed_transfer(net, sim, hp.a, hp.b, 0, took));
+  sim.spawn(timed_transfer(net, sim, hp.a, hp.b, 0, took, p));
   sim.run();
-  EXPECT_LT(to_seconds(took), 0.01);
+  // Two hops of 0.1 ms latency plus 0.1 ms processing.
+  EXPECT_EQ(took, milliseconds(3) + microseconds(400));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(net.stats().flows_completed, 1u);
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+TEST(Network, CapacityChangeMidFlowFollowsTwoSegmentClosedForm) {
+  // A lone 10 MB flow on a 10 MB/s link; at 0.5 s the link is retuned. The
+  // flow runs at its old rate until then and at its new one after, which
+  // holds only if its cap follows the bottleneck's new capacity.
+  const auto finish = [](TcpProfile prof, Rate after) {
+    Simulation sim;
+    Topology t;
+    const auto a = t.add_node();
+    const auto b = t.add_node();
+    const LinkId fwd = t.add_duplex(a, b, 10.0 * 1000 * 1000, milliseconds(1)).first;
+    Network net{sim, std::move(t)};
+    net.set_hop_processing(Duration::zero());
+    Duration took{};
+    sim.spawn(timed_transfer(net, sim, a, b, 10 * 1000 * 1000, took, prof));
+    sim.schedule(milliseconds(500), [&net, fwd, after] { net.set_link_capacity(fwd, after); });
+    sim.run();
+    return to_seconds(took);
+  };
+  // Raised to 20 MB/s: 0.499 s at 10 MB/s after the 1 ms setup, then the
+  // remaining 5.01 MB at 20 MB/s.
+  EXPECT_NEAR(finish({}, 20e6), 0.5 + (10e6 - 0.499 * 10e6) / 20e6, 1e-6);
+  // In slow start at half rate throughout, lowered to 4 MB/s: 5 MB/s, then
+  // 2 MB/s. A stale cap would let it run at the full 4 MB/s.
+  TcpProfile slow;
+  slow.slow_start_bytes = 20 * 1000 * 1000;
+  slow.slow_start_fraction = 0.5;
+  EXPECT_NEAR(finish(slow, 4e6), 0.5 + (10e6 - 0.499 * 5e6) / 2e6, 1e-6);
 }
 
 TEST(Network, LoopbackTransferIsCheap) {

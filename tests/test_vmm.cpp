@@ -119,6 +119,20 @@ TEST(Host, LateJobPreemptsFairShare) {
   EXPECT_NEAR(to_seconds(t2), 4.0, 0.05);
 }
 
+TEST(Host, JobDoneInsideItsAdmissionCostsNoEvent) {
+  // Work within the completion tolerance retires as it is admitted, and its
+  // execute() goes on at once: one event for the spawn and none for the job.
+  Simulation sim;
+  Host h{sim, atom_spec()};
+  Domain& vm = h.create_guest("vm", 1, 256_MB);
+  Duration took{seconds(1)};
+  sim.spawn(timed_exec(sim, h, vm, 1e-7, 1, took));
+  sim.run();
+  EXPECT_EQ(took, Duration::zero());
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_DOUBLE_EQ(h.cpu_utilization(), 0.0);
+}
+
 TEST(Host, UtilizationReflectsLoad) {
   Simulation sim;
   Host h{sim, atom_spec()};
