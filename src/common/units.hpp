@@ -47,7 +47,6 @@ using Rate = double;
 
 constexpr Rate mbps(double megabits_per_second) { return megabits_per_second * 1e6 / 8.0; }
 constexpr Rate mib_per_sec(double v) { return v * 1024.0 * 1024.0; }
-constexpr double to_mbps(Rate r) { return r * 8.0 / 1e6; }
 constexpr double to_mib_per_sec(Rate r) { return r / (1024.0 * 1024.0); }
 
 /// Time needed to move `size` bytes at `rate` bytes/sec.

@@ -122,7 +122,6 @@ class GeoFederation {
   std::size_t live_replicas(const std::string& object_name) const;
 
   std::size_t directory_size() const;
-  std::size_t partition_count() const { return partitions_.size(); }
   const GeoStats& stats() const { return stats_; }
 
   /// Deterministic serialization of the whole directory (names, sizes,

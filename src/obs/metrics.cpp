@@ -29,57 +29,16 @@ void LogHistogram::merge(const LogHistogram& other) {
   sum_ += other.sum_;
 }
 
-void LogHistogram::subtract(const LogHistogram& other) {
-  for (int i = 0; i < kBuckets; ++i) {
-    auto& mine = counts_[static_cast<std::size_t>(i)];
-    const auto theirs = other.counts_[static_cast<std::size_t>(i)];
-    mine = mine > theirs ? mine - theirs : 0;
-  }
-  total_ = total_ > other.total_ ? total_ - other.total_ : 0;
-  sum_ = sum_ > other.sum_ ? sum_ - other.sum_ : 0;
-}
-
 Counter& Registry::counter(const std::string& name) {
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
   return *slot;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-LogHistogram& Registry::histogram(const std::string& name) {
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<LogHistogram>();
-  return *slot;
-}
-
 Snapshot Registry::snapshot() const {
   Snapshot s;
   for (const auto& [name, c] : counters_) s.counters.emplace(name, c->value());
-  for (const auto& [name, g] : gauges_) s.gauges.emplace(name, g->value());
-  for (const auto& [name, h] : histograms_) s.histograms.emplace(name, *h);
   return s;
-}
-
-Snapshot Registry::diff(const Snapshot& before, const Snapshot& after) {
-  Snapshot d;
-  for (const auto& [name, v] : after.counters) {
-    const auto it = before.counters.find(name);
-    const std::uint64_t base = it != before.counters.end() ? it->second : 0;
-    d.counters.emplace(name, v > base ? v - base : 0);
-  }
-  d.gauges = after.gauges;
-  for (const auto& [name, h] : after.histograms) {
-    LogHistogram interval = h;
-    const auto it = before.histograms.find(name);
-    if (it != before.histograms.end()) interval.subtract(it->second);
-    d.histograms.emplace(name, interval);
-  }
-  return d;
 }
 
 }  // namespace c4h::obs

@@ -1,12 +1,11 @@
-// Metrics registry — named counters, gauges, and log-linear histograms,
-// with a snapshot/diff API.
+// Metrics: named counters in a registry, and the log-linear histogram that
+// the layers' stats structs hold their latencies in.
 //
-// Naming convention (DESIGN.md §10): `c4h.<layer>.<op>.<stat>`, optionally
-// tagged as `...{tenant=<name>}` or `...{path=<tier>}`. Hot paths register
-// once and keep the returned pointer, so recording is a single increment;
-// the registry's maps are ordered, so snapshots enumerate in a stable order
-// regardless of registration history. Only metrics that something reads
-// are registered: a histogram is 15 KB.
+// Naming convention (DESIGN.md §10): `c4h.<layer>.<op>.<stat>`. Hot paths
+// register once and keep the returned pointer, so recording is a single
+// increment; the registry's map is ordered, so snapshots enumerate in a
+// stable order regardless of registration history. Only counters that
+// something reads are registered.
 //
 // LogHistogram is the repo's one percentile implementation. It is
 // log-linear (HDR-style): values 0–63 each have their own bucket, and every
@@ -14,7 +13,7 @@
 // sub-buckets, so 1920 buckets cover every uint64_t. A quantile reports the
 // lower bound of the sub-bucket holding the nearest-rank value: never above
 // the exact value, exact below 64, and less than 1/32 (3.125%) below it
-// otherwise. It is integer-only, mergeable, diffable and deterministic.
+// otherwise. It is integer-only, mergeable and deterministic.
 #pragma once
 
 #include <algorithm>
@@ -34,15 +33,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
 };
 
 class LogHistogram {
@@ -84,10 +74,6 @@ class LogHistogram {
 
   /// Element-wise accumulation (combining per-node histograms).
   void merge(const LogHistogram& other);
-  /// Element-wise subtraction (interval extraction between two snapshots).
-  /// Buckets saturate at zero — callers diff a later snapshot by an earlier
-  /// one of the same histogram, where counts are monotone.
-  void subtract(const LogHistogram& other);
 
  private:
   std::array<std::uint64_t, kBuckets> counts_{};
@@ -95,13 +81,9 @@ class LogHistogram {
   std::uint64_t sum_ = 0;
 };
 
-/// A point-in-time copy of every metric. Counter/gauge values are plain
-/// numbers; histograms are copied whole so interval quantiles can be
-/// computed on the diff.
+/// A point-in-time copy of every counter.
 struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, LogHistogram> histograms;
 };
 
 class Registry {
@@ -110,29 +92,15 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Returns (registering on first use) the named metric. Pointers remain
+  /// Returns (registering on first use) the named counter. References remain
   /// valid for the registry's lifetime.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  LogHistogram& histogram(const std::string& name);
-
-  /// `c4h.test.op.count` + `home-1` → `c4h.test.op.count{node=home-1}`.
-  static std::string qualify(const std::string& name, const std::string& node) {
-    return name + "{node=" + node + "}";
-  }
 
   Snapshot snapshot() const;
-
-  /// Interval between two snapshots: counter deltas (after − before,
-  /// saturating at zero; names only in `after` pass through), gauge values
-  /// from `after`, histogram bucket differences.
-  static Snapshot diff(const Snapshot& before, const Snapshot& after);
 
  private:
   // unique_ptr for address stability across rebalancing inserts.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<LogHistogram>> histograms_;
 };
 
 }  // namespace c4h::obs

@@ -4,10 +4,12 @@
 // unordered_map insert/find/erase round-trip; at 10k-node scale the engine
 // itself became the hot path (DESIGN.md §13). The arena replaces both:
 //
-//  * Callbacks live inline in a fixed-size small buffer inside the slot
-//    (kInlineBytes covers every capture the simulator schedules: a coroutine
-//    handle, `this`, `this` + a flow id). Larger callables fall back to one
-//    heap allocation, type-erased behind the same ops table.
+//  * A callback is one shape: a trivially copyable callable of at most two
+//    words (EventCallback), stored inline in its slot next to the one
+//    function that invokes it. Every event the simulator schedules fits: a
+//    coroutine handle, `this`, or `this` plus an index. A slot is 32 bytes,
+//    and copying one (growing the slot table, firing an event) is a plain
+//    byte copy: nothing to destroy, relocate or free.
 //  * EventIds are {slot index, generation} pairs. Cancel is O(1): bump the
 //    slot's generation and recycle it through the free list — no map erase,
 //    and a stale id can never touch a recycled slot because its generation
@@ -36,17 +38,44 @@
 
 namespace c4h::sim {
 
+inline constexpr std::size_t kEventCallbackBytes = 2 * sizeof(void*);
+
+/// The one shape a scheduled event takes: a callable that is trivially
+/// copyable and at most two words, so it is stored inline and copied as
+/// bytes. Capture a coroutine handle, `this`, or `this` plus an index;
+/// anything larger belongs in the object `this` points at.
+template <typename F>
+concept EventCallback = std::is_trivially_copyable_v<std::remove_cvref_t<F>> &&
+                        sizeof(std::remove_cvref_t<F>) <= kEventCallbackBytes &&
+                        alignof(std::remove_cvref_t<F>) <= alignof(void*);
+
 class EventArena {
  public:
-  /// Inline capture budget. The engine's own callbacks are ≤ 16 bytes; the
-  /// headroom lets user lambdas with a few captured pointers stay inline.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// A stored callback: the callable's bytes and the function that invokes
+  /// them. Trivially copyable like the callable it holds.
+  class Callback {
+   public:
+    Callback() = default;
+    template <EventCallback F>
+    explicit Callback(F&& fn) : invoke_(&invoke<std::remove_cvref_t<F>>) {
+      ::new (static_cast<void*>(buf_)) std::remove_cvref_t<F>(std::forward<F>(fn));
+    }
+
+    void operator()() { invoke_(buf_); }
+
+   private:
+    template <typename Fn>
+    static void invoke(void* p) {
+      (*std::launder(static_cast<Fn*>(p)))();
+    }
+
+    alignas(void*) unsigned char buf_[kEventCallbackBytes]{};
+    void (*invoke_)(void*) = nullptr;
+  };
 
   EventArena() = default;
   EventArena(const EventArena&) = delete;
   EventArena& operator=(const EventArena&) = delete;
-
-  ~EventArena() { clear(); }
 
   /// Opaque handle: 0 is "never scheduled"; otherwise (generation << 32) |
   /// (slot + 1). A generation survives at most one scheduled lifetime, so a
@@ -55,11 +84,10 @@ class EventArena {
   /// and cancel to collide — billions of reuses of one slot).
   using Handle = std::uint64_t;
 
-  template <typename F>
-  Handle schedule(TimePoint at, F&& fn) {
+  Handle schedule(TimePoint at, Callback fn) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
-    emplace_callback(s, std::forward<F>(fn));
+    s.fn = fn;
     ++live_;
     heap_.push_back(Entry{at, ++next_seq_, slot, s.gen});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -68,14 +96,19 @@ class EventArena {
 
   /// O(1); safe on fired, cancelled, and default handles.
   void cancel(Handle h) {
-    Slot* s = live_slot(h);
-    if (s == nullptr) return;
-    release_slot(*s, static_cast<std::uint32_t>((h & 0xffffffffu) - 1));
+    if (!pending(h)) return;
+    release_slot(static_cast<std::uint32_t>((h & 0xffffffffu) - 1));
     ++tombstones_;
     maybe_compact();
   }
 
-  bool pending(Handle h) const { return live_slot(h) != nullptr; }
+  /// A slot is live exactly while its generation matches the one handed out
+  /// when it was scheduled: firing and cancelling both bump it.
+  bool pending(Handle h) const {
+    if (h == 0) return false;
+    const std::uint32_t slot = static_cast<std::uint32_t>(h & 0xffffffffu) - 1;
+    return slot < slots_.size() && slots_[slot].gen == static_cast<std::uint32_t>(h >> 32);
+  }
 
   std::size_t live_count() const { return live_; }
   /// Heap entries including tombstones — tests assert compaction keeps this
@@ -87,7 +120,7 @@ class EventArena {
   bool peek(TimePoint& at) {
     while (!heap_.empty()) {
       const Entry& top = heap_.front();
-      if (slots_[top.slot].gen == top.gen && slots_[top.slot].ops != nullptr) {
+      if (live(top)) {
         at = top.at;
         return true;
       }
@@ -97,66 +130,23 @@ class EventArena {
     return false;
   }
 
-  /// Moves the earliest live callback into `out` (caller-provided stack
-  /// storage, so a callback that grows the arena while running cannot
-  /// invalidate itself), frees its slot, and returns its timestamp.
+  /// Copies the earliest live callback into `out` (caller-side storage, so
+  /// a callback that grows the slot table while running cannot invalidate
+  /// itself), frees its slot, and returns its timestamp.
   /// Pre: peek() returned true.
-  class FiredCallback;
-  TimePoint take_earliest(FiredCallback& out);
-
-  /// Destroys every pending callback (teardown only).
-  void clear() {
-    for (Slot& s : slots_) {
-      if (s.ops != nullptr) {
-        s.ops->destroy(target(s));
-        s.ops = nullptr;
-      }
-    }
-    heap_.clear();
-    free_head_ = kNone;
-    live_ = 0;
-    tombstones_ = 0;
-    // Slots stay allocated; gens survive so stale handles remain stale.
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      ++slots_[i].gen;
-      slots_[i].next_free = free_head_;
-      free_head_ = i;
-    }
+  TimePoint take_earliest(Callback& out) {
+    const Entry top = heap_.front();
+    pop_top();
+    out = slots_[top.slot].fn;
+    release_slot(top.slot);
+    return top.at;
   }
 
  private:
-  struct Ops {
-    void (*invoke)(void*);
-    void (*destroy)(void*) noexcept;
-    // Move-constructs *from into to, then destroys *from.
-    void (*relocate)(void* from, void* to) noexcept;
-    bool heap;  // buf holds a pointer to the callable, not the callable
-  };
-
   struct Slot {
-    alignas(std::max_align_t) unsigned char buf[kInlineBytes];
-    const Ops* ops = nullptr;  // nullptr → slot free
+    Callback fn;
     std::uint32_t gen = 1;
     std::uint32_t next_free = kNone;
-
-    Slot() = default;
-    Slot(const Slot&) = delete;
-    Slot& operator=(const Slot&) = delete;
-    // Growing slots_ reallocates the vector; inline callables are only
-    // required to be nothrow move-constructible, not trivially relocatable,
-    // so the byte-wise default move would break self-referential captures.
-    // Route the move through the ops table's relocate instead.
-    Slot(Slot&& o) noexcept : ops(o.ops), gen(o.gen), next_free(o.next_free) {
-      if (ops != nullptr) {
-        if (ops->heap) {
-          *reinterpret_cast<void**>(buf) = *reinterpret_cast<void**>(o.buf);
-        } else {
-          ops->relocate(o.buf, buf);
-        }
-      }
-      o.ops = nullptr;
-    }
-    Slot& operator=(Slot&&) = delete;
   };
 
   struct Entry {
@@ -177,45 +167,11 @@ class EventArena {
 
   static constexpr std::uint32_t kNone = UINT32_MAX;
 
-  template <typename F>
-  struct OpsFor {
-    using Fn = std::decay_t<F>;
-    static constexpr bool fits =
-        sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-        std::is_nothrow_move_constructible_v<Fn>;
-
-    static void invoke(void* p) { (*static_cast<Fn*>(p))(); }
-    static void destroy_inline(void* p) noexcept { static_cast<Fn*>(p)->~Fn(); }
-    static void destroy_heap(void* p) noexcept { delete static_cast<Fn*>(p); }
-    static void relocate_inline(void* from, void* to) noexcept {
-      ::new (to) Fn(std::move(*static_cast<Fn*>(from)));
-      static_cast<Fn*>(from)->~Fn();
-    }
-    static constexpr Ops inline_ops{&invoke, &destroy_inline, &relocate_inline, false};
-    static constexpr Ops heap_ops{&invoke, &destroy_heap, nullptr, true};
-  };
-
   static Handle make_handle(std::uint32_t slot, std::uint32_t gen) {
     return (std::uint64_t{gen} << 32) | (slot + 1);
   }
 
-  void* target(Slot& s) const {
-    void* p = const_cast<unsigned char*>(s.buf);
-    return s.ops->heap ? *static_cast<void**>(p) : p;
-  }
-
-  Slot* live_slot(Handle h) {
-    return const_cast<Slot*>(std::as_const(*this).live_slot_impl(h));
-  }
-  const Slot* live_slot(Handle h) const { return live_slot_impl(h); }
-  const Slot* live_slot_impl(Handle h) const {
-    if (h == 0) return nullptr;
-    const std::uint32_t slot = static_cast<std::uint32_t>(h & 0xffffffffu) - 1;
-    const auto gen = static_cast<std::uint32_t>(h >> 32);
-    if (slot >= slots_.size()) return nullptr;
-    const Slot& s = slots_[slot];
-    return (s.gen == gen && s.ops != nullptr) ? &s : nullptr;
-  }
+  bool live(const Entry& e) const { return slots_[e.slot].gen == e.gen; }
 
   std::uint32_t acquire_slot() {
     if (free_head_ != kNone) {
@@ -227,26 +183,12 @@ class EventArena {
     return static_cast<std::uint32_t>(slots_.size() - 1);
   }
 
-  void release_slot(Slot& s, std::uint32_t index) {
-    s.ops->destroy(target(s));
-    s.ops = nullptr;
+  void release_slot(std::uint32_t index) {
+    Slot& s = slots_[index];
     ++s.gen;
     s.next_free = free_head_;
     free_head_ = index;
     --live_;
-  }
-
-  template <typename F>
-  void emplace_callback(Slot& s, F&& fn) {
-    using O = OpsFor<F>;
-    using Fn = typename O::Fn;
-    if constexpr (O::fits) {
-      ::new (static_cast<void*>(s.buf)) Fn(std::forward<F>(fn));
-      s.ops = &O::inline_ops;
-    } else {
-      *reinterpret_cast<void**>(s.buf) = new Fn(std::forward<F>(fn));
-      s.ops = &O::heap_ops;
-    }
   }
 
   void pop_top() {
@@ -259,9 +201,7 @@ class EventArena {
     // cancels that created them, and it bounds heap memory at ~2× the live
     // event count no matter how cancel-heavy the run is.
     if (tombstones_ < 64 || tombstones_ < heap_.size() / 2) return;
-    std::erase_if(heap_, [this](const Entry& e) {
-      return slots_[e.slot].gen != e.gen || slots_[e.slot].ops == nullptr;
-    });
+    std::erase_if(heap_, [this](const Entry& e) { return !live(e); });
     std::make_heap(heap_.begin(), heap_.end(), Later{});
     tombstones_ = 0;
   }
@@ -273,61 +213,5 @@ class EventArena {
   std::size_t live_ = 0;
   std::size_t tombstones_ = 0;
 };
-
-/// Stack-side landing pad for a fired callback: take_earliest() relocates
-/// the callable here before the slot is recycled, so running it is safe
-/// even if it schedules new events (growing slots_) or cancels anything.
-class EventArena::FiredCallback {
- public:
-  FiredCallback() = default;
-  FiredCallback(const FiredCallback&) = delete;
-  FiredCallback& operator=(const FiredCallback&) = delete;
-  ~FiredCallback() { reset(); }
-
-  void operator()() { ops_->invoke(tgt()); }
-
- private:
-  friend class EventArena;
-
-  void* tgt() {
-    void* p = buf_;
-    return ops_->heap ? *static_cast<void**>(p) : p;
-  }
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(tgt());
-      ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
-  const Ops* ops_ = nullptr;
-};
-
-inline TimePoint EventArena::take_earliest(FiredCallback& out) {
-  Entry top = heap_.front();
-  pop_top();
-  Slot& s = slots_[top.slot];
-  out.reset();
-  if (s.ops->heap) {
-    *reinterpret_cast<void**>(out.buf_) = *reinterpret_cast<void**>(s.buf);
-    out.ops_ = s.ops;
-    // The callable now belongs to `out`; free the slot without destroying.
-    s.ops = nullptr;
-    ++s.gen;
-    s.next_free = free_head_;
-    free_head_ = top.slot;
-    --live_;
-  } else {
-    s.ops->relocate(s.buf, out.buf_);
-    out.ops_ = s.ops;
-    s.ops = nullptr;
-    ++s.gen;
-    s.next_free = free_head_;
-    free_head_ = top.slot;
-    --live_;
-  }
-  return top.at;
-}
 
 }  // namespace c4h::sim

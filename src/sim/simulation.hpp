@@ -5,13 +5,13 @@
 // timestamps run in schedule order (FIFO), which makes every run
 // deterministic for a given seed.
 //
-// Storage is the slab/free-list EventArena (event_arena.hpp): callbacks are
-// held inline (no allocation for the common capture sizes), cancellation is
-// O(1) via generation-tagged ids, and heavy cancel/reschedule churn — timeouts
-// that almost never fire, the network's one flow event replaced on every
-// re-solve — compacts instead of growing the heap. The
-// equal-timestamp FIFO contract is unchanged from the previous map-based
-// engine, byte for byte.
+// Storage is the slab/free-list EventArena (event_arena.hpp): a callback is a
+// trivially copyable callable of at most two words (EventCallback), held
+// inline with no allocation; cancellation is O(1) via generation-tagged ids,
+// and heavy cancel/reschedule churn — timeouts that almost never fire, the
+// network's one flow event replaced on every re-solve — compacts instead of
+// growing the heap. The equal-timestamp FIFO contract is unchanged from the
+// previous map-based engine, byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@ class FaultPlan;  // sim/fault.hpp; installed via install_fault_plan()
 /// after the underlying arena slot is recycled.
 struct EventId {
   std::uint64_t id = 0;
-  bool valid() const { return id != 0; }
 };
 
 class Simulation {
@@ -77,12 +76,15 @@ class Simulation {
   /// Events executed since construction (scaling benches report events/sec).
   std::uint64_t events_executed() const { return events_executed_; }
 
-  /// Schedules `fn` to run `delay` after now. delay must be >= 0. Callables
-  /// with captures up to EventArena::kInlineBytes are stored inline.
+  /// Schedules `fn` to run `delay` after now. delay must be >= 0. `fn` is
+  /// copied as bytes, so it must be trivially copyable and at most two words:
+  /// a coroutine handle, `this`, or `this` plus an index.
   template <typename F>
   EventId schedule(Duration delay, F&& fn) {
+    static_assert(EventCallback<F>,
+                  "schedule() takes a trivially copyable callable of at most two words");
     if (delay < Duration::zero()) delay = Duration::zero();
-    return EventId{events_.schedule(now_ + delay, std::forward<F>(fn))};
+    return EventId{events_.schedule(now_ + delay, EventArena::Callback{std::forward<F>(fn)})};
   }
 
   /// Cancels a pending event. Safe to call with an already-fired id.
@@ -94,7 +96,7 @@ class Simulation {
   bool step() {
     TimePoint at;
     if (!events_.peek(at)) return false;
-    EventArena::FiredCallback fn;
+    EventArena::Callback fn;
     now_ = events_.take_earliest(fn);
     ++events_executed_;
     fn();

@@ -1,11 +1,9 @@
-// Synchronization primitives for simulated processes: broadcast events,
-// bounded-nothing channels (mailboxes), and fan-out/fan-in helpers.
+// Synchronization primitives for simulated processes: a one-shot broadcast
+// event and the when_all fan-out/fan-in helper built on it.
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/sim/simulation.hpp"
@@ -13,8 +11,8 @@
 
 namespace c4h::sim {
 
-/// One-shot (resettable) broadcast event. Waiters resume, in wait order, at
-/// the simulated time fire() is called.
+/// One-shot broadcast event. Waiters resume, in wait order, at the simulated
+/// time fire() is called.
 class Event {
  public:
   explicit Event(Simulation& sim) : sim_(&sim) {}
@@ -30,8 +28,6 @@ class Event {
     waiters_.clear();
   }
 
-  void reset() { fired_ = false; }
-
   auto wait() {
     struct Awaiter {
       Event& ev;
@@ -46,62 +42,6 @@ class Event {
   Simulation* sim_;
   bool fired_ = false;
   std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/// Unbounded FIFO channel (mailbox). Multiple producers, multiple consumers;
-/// each item goes to exactly one consumer, in arrival order.
-template <typename T>
-class Channel {
-  struct PopAwaiter;
-
- public:
-  explicit Channel(Simulation& sim) : sim_(&sim) {}
-
-  /// Hands the item to the oldest parked consumer, if any, else queues it.
-  /// The hand-off is direct: a ready pop() that runs before the woken
-  /// consumer resumes must not take the item that woke it.
-  void push(T item) {
-    if (waiters_.empty()) {
-      items_.push_back(std::move(item));
-      return;
-    }
-    PopAwaiter* w = waiters_.front();
-    waiters_.pop_front();
-    w->handed.emplace(std::move(item));
-    sim_->schedule(Duration::zero(), [h = w->handle] { h.resume(); });
-  }
-
-  /// Queued items not yet handed to a consumer.
-  std::size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-
-  /// co_await pop() — suspends until an item is available.
-  PopAwaiter pop() { return PopAwaiter{*this}; }
-
- private:
-  // Lives in the awaiting coroutine's frame until it resumes, so push() may
-  // hold a pointer to it while it is parked.
-  struct PopAwaiter {
-    Channel& ch;
-    std::optional<T> handed{};
-    std::coroutine_handle<> handle{};
-
-    bool await_ready() const { return !ch.items_.empty(); }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      ch.waiters_.push_back(this);
-    }
-    T await_resume() {
-      if (handed.has_value()) return std::move(*handed);
-      T v = std::move(ch.items_.front());
-      ch.items_.pop_front();
-      return v;
-    }
-  };
-
-  Simulation* sim_;
-  std::deque<T> items_;  // non-empty only while no consumer is parked
-  std::deque<PopAwaiter*> waiters_;
 };
 
 namespace detail {

@@ -70,8 +70,6 @@ struct CommandPacket {
     p.data = std::move(*data);
     return p;
   }
-
-  std::size_t wire_size() const { return serialize().size(); }
 };
 
 }  // namespace c4h::vstore

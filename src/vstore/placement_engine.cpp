@@ -11,15 +11,9 @@ PlacementEngine::PlacementEngine(PlacementEngineConfig config, const WanEstimato
 void PlacementEngine::register_metrics(obs::Registry& reg) {
   decisions_counter_ = &reg.counter("c4h.placement.decision.count");
   switches_counter_ = &reg.counter("c4h.placement.switch.count");
-  explorations_counter_ = &reg.counter("c4h.placement.explore.count");
-  store_vetoes_counter_ = &reg.counter("c4h.placement.store_veto.count");
-  regret_us_counter_ = &reg.counter("c4h.placement.regret.us");
   // Re-registering against a fresh registry must not replay history.
   decisions_counter_->add(decisions_);
   switches_counter_->add(switches_);
-  explorations_counter_->add(explorations_);
-  store_vetoes_counter_->add(store_vetoes_);
-  regret_us_counter_->add(static_cast<std::uint64_t>(regret_seconds_ * 1e6));
 }
 
 std::string PlacementEngine::context_of(const services::ServiceProfile& service, Bytes input) {
@@ -99,7 +93,6 @@ ExecSite PlacementEngine::choose(const std::string& context,
   for (const auto& c : candidates) {
     if (pulls(context, c.site) < static_cast<std::uint64_t>(config_.min_pulls_per_arm)) {
       ++explorations_;
-      count(explorations_counter_);
       return c.site;
     }
   }
@@ -108,7 +101,6 @@ ExecSite PlacementEngine::choose(const std::string& context,
   // decision to move, so it neither resets dwell nor counts as a switch.
   if (rng_.chance(config_.epsilon)) {
     ++explorations_;
-    count(explorations_counter_);
     return candidates[rng_.below(candidates.size())].site;
   }
 
@@ -152,7 +144,6 @@ void PlacementEngine::observe(const std::string& context, const ExecSite& site,
   if (!st.has_prediction) return;
   const double regret = std::max(0.0, x - st.last_best_predicted);
   regret_seconds_ += regret;
-  count(regret_us_counter_, static_cast<std::uint64_t>(regret * 1e6));
 }
 
 Bytes PlacementEngine::cloud_threshold() const {
@@ -163,7 +154,6 @@ Bytes PlacementEngine::cloud_threshold() const {
 bool PlacementEngine::veto_cloud_store(Bytes size) {
   if (size <= cloud_threshold()) return false;
   ++store_vetoes_;
-  count(store_vetoes_counter_);
   return true;
 }
 

@@ -29,10 +29,11 @@
 // entropy beyond its seeded Rng, keeping decisions a pure function of the
 // observation history.
 //
-// Per-decision regret — the realized cost minus the cost predicted for the
-// best candidate at choice time, accumulated in integer microseconds — and
-// decision/switch/explore/veto counts are mirrored into the obs metrics
-// registry (c4h.placement.*) for bench artifacts.
+// The engine counts decisions, switches, explorations and store vetoes, and
+// accumulates per-decision regret: the realized cost minus the cost
+// predicted for the best candidate at choice time. Decisions and switches
+// are also mirrored into an obs registry (c4h.placement.*), which perfbench
+// reads.
 #pragma once
 
 #include <cstdint>
@@ -65,9 +66,10 @@ class PlacementEngine {
  public:
   PlacementEngine(PlacementEngineConfig config, const WanEstimator& wan);
 
-  /// Registers the engine's counters on `reg` and adds the counts so far to
-  /// them; until called, counts are tracked locally only. Call it once per
-  /// registry: a second call on the same registry adds the history again.
+  /// Registers the decision and switch counters on `reg` and adds the counts
+  /// so far to them; until called, counts are tracked locally only. Call it
+  /// once per registry: a second call on the same registry adds the history
+  /// again.
   void register_metrics(obs::Registry& reg);
 
   /// Context key for a request: the service plus the input's size bucket
@@ -138,8 +140,8 @@ class PlacementEngine {
   /// The arm for `site` in `context`, or nullptr if it was never observed.
   const Arm* find_arm(const std::string& context, const ExecSite& site) const;
 
-  void count(obs::Counter* c, std::uint64_t n = 1) {
-    if (c != nullptr) c->add(n);
+  static void count(obs::Counter* c) {
+    if (c != nullptr) c->add();
   }
 
   PlacementEngineConfig config_;
@@ -155,9 +157,6 @@ class PlacementEngine {
 
   obs::Counter* decisions_counter_ = nullptr;
   obs::Counter* switches_counter_ = nullptr;
-  obs::Counter* explorations_counter_ = nullptr;
-  obs::Counter* store_vetoes_counter_ = nullptr;
-  obs::Counter* regret_us_counter_ = nullptr;
 };
 
 }  // namespace c4h::vstore

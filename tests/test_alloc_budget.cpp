@@ -2,7 +2,8 @@
 // store and per fetch on the paper's six-node home, after a warm-up. The
 // counts are exact and deterministic, so each ceiling is the count the
 // current op path makes: a change that adds allocations to it fails here,
-// and one that removes some should lower the ceiling to the new count.
+// and one that removes some should lower the ceiling to the new count. The
+// event engine on its own allocates nothing once warm.
 //
 // Its own executable, because it replaces the global operator new to count.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <new>
 #include <string>
 
+#include "src/sim/simulation.hpp"
 #include "src/vstore/home_cloud.hpp"
 
 namespace {
@@ -93,6 +95,30 @@ TEST(AllocBudget, UntracedStoreAndFetchOnSixNodeHome) {
               static_cast<double>(fetches) / kOps);
   EXPECT_LE(stores, kStoreCeiling);
   EXPECT_LE(fetches, kFetchCeiling);
+}
+
+TEST(AllocBudget, WarmEngineScheduleCancelFireAllocatesNothing) {
+  // Each cycle schedules two events, cancels one and fires the other, with
+  // enough cycles in flight that cancel tombstones trigger compaction. The
+  // first round grows the slot table and the heap to their peak; the second
+  // must reuse them.
+  constexpr int kCycles = 1000;
+  sim::Simulation sim;
+  int fired = 0;
+  const auto round = [&sim, &fired] {
+    for (int i = 0; i < kCycles; ++i) {
+      const sim::EventId doomed = sim.schedule(milliseconds(2), [&fired] { fired += kCycles; });
+      sim.schedule(milliseconds(1), [&fired] { ++fired; });
+      sim.cancel(doomed);
+    }
+    sim.run();
+  };
+  round();
+  const std::uint64_t before = g_allocations;
+  round();
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(fired, 2 * kCycles);
+  EXPECT_EQ(sim.events_executed(), 2u * kCycles);
 }
 
 }  // namespace

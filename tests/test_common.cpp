@@ -329,7 +329,6 @@ TEST(Units, Conversions) {
   EXPECT_EQ(to_seconds(seconds(2)), 2.0);
   EXPECT_EQ(milliseconds(1500), microseconds(1500000));
   EXPECT_EQ(10_MB, Bytes{10} * 1024 * 1024);
-  EXPECT_NEAR(to_mbps(mbps(95.5)), 95.5, 1e-9);
 }
 
 TEST(Units, TransferTimeRoundsUp) {

@@ -510,7 +510,6 @@ TEST(GeoFederation, OneNeighborhoodCityKeepsOnlyTheOwnersCopy) {
     EXPECT_EQ(got->source_home, "h0-0");
     EXPECT_EQ(got->size, 2_MB);
   }(rig));
-  EXPECT_EQ(rig.fed->partition_count(), 1u);
   EXPECT_EQ(rig.fed->stats().replicas_placed, 0u);
   EXPECT_EQ(rig.fed->stats().repair_failures, 0u);
 }

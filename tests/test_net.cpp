@@ -439,7 +439,9 @@ TEST(Network, CapacityChangeMidFlowFollowsTwoSegmentClosedForm) {
     net.set_hop_processing(Duration::zero());
     Duration took{};
     sim.spawn(timed_transfer(net, sim, a, b, 10 * 1000 * 1000, took, prof));
-    sim.schedule(milliseconds(500), [&net, fwd, after] { net.set_link_capacity(fwd, after); });
+    const std::pair<LinkId, Rate> retune{fwd, after};
+    sim.schedule(milliseconds(500),
+                 [&net, &retune] { net.set_link_capacity(retune.first, retune.second); });
     sim.run();
     return to_seconds(took);
   };

@@ -5,6 +5,10 @@
 // clock-free: time is passed in as explicit TimePoints.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "src/obs/metrics.hpp"
 #include "src/vstore/placement_engine.hpp"
 
@@ -213,20 +217,32 @@ TEST(PlacementEngine, MetricsMirrorCountsIncludingHistory) {
   PlacementEngineConfig cfg = exact_config();
   cfg.upload_budget = seconds(2);
   PlacementEngine eng{cfg, wan};
-  const std::vector<CandidateInfo> cands = {home_cand(Key{1}, seconds(1))};
-  // Activity before registration must be carried into the registry.
-  (void)eng.choose("ctx", cands, TimePoint{});
-  eng.observe("ctx", cands[0].site, seconds(2));
+  const std::vector<CandidateInfo> initial = {home_cand(Key{1}, seconds(1)),
+                                              home_cand(Key{2}, seconds(2))};
+  const std::vector<CandidateInfo> flipped = {home_cand(Key{1}, seconds(1)),
+                                              home_cand(Key{2}, milliseconds(500))};
+  // Activity before registration must be carried into the registry: two
+  // decisions, the second a switch past the dwell window.
+  (void)eng.choose("ctx", initial, TimePoint{});
+  const ExecSite switched = eng.choose("ctx", flipped, TimePoint{seconds(11)});
+  ASSERT_EQ(switched, flipped[1].site);
+  // Realized 2s against the 0.5s best prediction: 1.5s of regret.
+  eng.observe("ctx", switched, seconds(2));
   (void)eng.veto_cloud_store(100_MB);
 
   obs::Registry reg;
   eng.register_metrics(reg);
-  EXPECT_EQ(reg.counter("c4h.placement.decision.count").value(), 1u);
-  EXPECT_EQ(reg.counter("c4h.placement.store_veto.count").value(), 1u);
-  EXPECT_EQ(reg.counter("c4h.placement.regret.us").value(), 1000000u);
+  // Only decisions and switches are mirrored; vetoes and regret are read
+  // through the engine's accessors.
+  const std::map<std::string, std::uint64_t> mirrored = {
+      {"c4h.placement.decision.count", 2}, {"c4h.placement.switch.count", 1}};
+  EXPECT_EQ(reg.snapshot().counters, mirrored);
+  EXPECT_EQ(eng.store_vetoes(), 1u);
+  EXPECT_NEAR(eng.regret_seconds(), 1.5, 1e-9);
 
-  (void)eng.choose("ctx", cands, TimePoint{seconds(1)});
-  EXPECT_EQ(reg.counter("c4h.placement.decision.count").value(), 2u);
+  (void)eng.choose("ctx", flipped, TimePoint{seconds(12)});
+  EXPECT_EQ(reg.counter("c4h.placement.decision.count").value(), 3u);
+  EXPECT_EQ(reg.counter("c4h.placement.switch.count").value(), 1u);
 }
 
 TEST(PlacementEngine, DecisionStreamIsDeterministicPerSeed) {

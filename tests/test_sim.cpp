@@ -1,5 +1,5 @@
-// Discrete-event engine: ordering, determinism, cancellation, coroutine
-// tasks, events, channels, when_all, the bounded retry loop.
+// Discrete-event engine: ordering, determinism, cancellation, the event
+// callback shape, coroutine tasks, events, when_all, the bounded retry loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -177,63 +177,6 @@ TEST(Event, WaitAfterFireIsImmediate) {
   sim.run();
   ASSERT_EQ(times.size(), 1u);
   EXPECT_EQ(times[0], TimePoint{0});
-}
-
-Task<> producer(Channel<int>& ch, Simulation& sim, int n) {
-  for (int i = 0; i < n; ++i) {
-    co_await sim.delay(milliseconds(10));
-    ch.push(i);
-  }
-}
-
-Task<> consumer(Channel<int>& ch, std::vector<int>& got, int n) {
-  for (int i = 0; i < n; ++i) {
-    got.push_back(co_await ch.pop());
-  }
-}
-
-TEST(Channel, FifoDelivery) {
-  Simulation sim;
-  Channel<int> ch{sim};
-  std::vector<int> got;
-  sim.spawn(consumer(ch, got, 5));
-  sim.spawn(producer(ch, sim, 5));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Channel, PopBeforePushSuspends) {
-  Simulation sim;
-  Channel<std::string> ch{sim};
-  std::string got;
-  sim.spawn([](Channel<std::string>& c, std::string& out) -> Task<> {
-    out = co_await c.pop();
-  }(ch, got));
-  sim.run_until(milliseconds(5));
-  EXPECT_TRUE(got.empty());
-  ch.push("late");
-  sim.run();
-  EXPECT_EQ(got, "late");
-}
-
-TEST(Channel, ReadyPopCannotTakeAWokenWaitersItem) {
-  // push() wakes the parked consumer, but the wake-up runs later: a second
-  // consumer whose pop() runs in between must not take the item that woke
-  // the first one.
-  Simulation sim;
-  Channel<int> ch{sim};
-  int parked = 0;
-  int second = 0;
-  sim.spawn([](Channel<int>& c, int& out) -> Task<> { out = co_await c.pop(); }(ch, parked));
-  sim.spawn([](Channel<int>& c, int& out) -> Task<> {
-    c.push(7);
-    out = co_await c.pop();
-  }(ch, second));
-  sim.schedule(milliseconds(1), [&ch] { ch.push(8); });
-  sim.run();
-  EXPECT_EQ(parked, 7);
-  EXPECT_EQ(second, 8);
-  EXPECT_TRUE(ch.empty());
 }
 
 Task<> sleep_for(Simulation& sim, Duration d, int& done) {
@@ -423,28 +366,62 @@ TEST(EventArena, EqualTimestampFifoSurvivesChurn) {
   EXPECT_EQ(order, want);
 }
 
-TEST(EventArena, LargeCapturesFallBackToHeapIntact) {
-  // Captures beyond the inline small-buffer budget must round-trip through
-  // the heap fallback unscathed (cancel must release them cleanly too).
-  Simulation sim;
-  std::array<std::uint64_t, 16> big{};  // 128 bytes: > EventArena::kInlineBytes
-  for (std::size_t i = 0; i < big.size(); ++i) big[i] = 0x1234u + i;
+TEST(EventArena, ScheduleTakesOnlyTwoWordTriviallyCopyableCallables) {
+  // Every event the engine schedules captures a coroutine handle, `this`, or
+  // `this` plus an index: trivially copyable and at most two words, so it is
+  // stored inline and copied as bytes.
+  struct Owner {
+    Simulation& sim;
+    std::vector<std::uint32_t> fired;
+    void hit(std::uint32_t index) { fired.push_back(index); }
+    void schedule_both() {
+      const std::uint32_t index = 7;
+      const auto by_this = [this] { hit(0); };
+      const auto by_this_and_index = [this, index] { hit(index); };
+      static_assert(EventCallback<decltype(by_this)>);
+      static_assert(EventCallback<decltype(by_this_and_index)>);
+      sim.schedule(milliseconds(1), by_this);
+      sim.schedule(milliseconds(2), by_this_and_index);
+    }
+  };
+  const std::coroutine_handle<> h{};
+  [[maybe_unused]] const auto by_handle = [h] { h.resume(); };
+  static_assert(EventCallback<decltype(by_handle)>);
+
+  // Rejected at compile time: captures beyond two words, and one that is
+  // not trivially copyable (a self-referential capture, which a byte copy
+  // would leave pointing at its old address).
+  std::array<std::uint64_t, 16> big{};
   std::uint64_t sum = 0;
-  sim.schedule(milliseconds(1), [big, &sum] {
+  [[maybe_unused]] const auto big_capture = [big, &sum] {
     for (const std::uint64_t v : big) sum += v;
-  });
-  const EventId doomed = sim.schedule(milliseconds(2), [big, &sum] { sum = 0; });
-  sim.cancel(doomed);
+  };
+  static_assert(!EventCallback<decltype(big_capture)>);
+  std::uint64_t count = 0;
+  [[maybe_unused]] const auto three_words = [&big, &sum, &count] { sum += big[count]; };
+  static_assert(sizeof(three_words) == 3 * sizeof(void*));
+  static_assert(!EventCallback<decltype(three_words)>);
+  struct SelfRef {
+    SelfRef* self;
+    SelfRef() : self(this) {}
+    SelfRef(const SelfRef&) : self(this) {}
+    bool intact() const { return self == this; }
+  };
+  [[maybe_unused]] const auto self_ref = [sr = SelfRef{}] { return sr.intact(); };
+  static_assert(sizeof(self_ref) <= 2 * sizeof(void*));
+  static_assert(!EventCallback<decltype(self_ref)>);
+
+  Simulation sim;
+  Owner owner{sim, {}};
+  owner.schedule_both();
   sim.run();
-  std::uint64_t want = 0;
-  for (const std::uint64_t v : big) want += v;
-  EXPECT_EQ(sum, want);
+  EXPECT_EQ(owner.fired, (std::vector<std::uint32_t>{0, 7}));
 }
 
 TEST(EventArena, CallbackSchedulingDuringFireIsSafe) {
   // A firing callback that schedules more events can grow the arena's slot
-  // table mid-invoke; the relocate-to-stack step must keep the running
-  // callable valid. Chain deep enough to force several regrowths.
+  // table mid-invoke; step() runs a copy of the callable, which must stay
+  // valid. Chain deep enough to force several regrowths.
   Simulation sim;
   int hops = 0;
   std::function<void()> hop = [&] {
@@ -460,38 +437,6 @@ TEST(EventArena, CallbackSchedulingDuringFireIsSafe) {
   sim.run();
   EXPECT_EQ(hops, 500);
   EXPECT_EQ(sim.pending_event_count(), 0u);
-}
-
-TEST(EventArena, SlotGrowthRelocatesNonTriviallyMovableCaptures) {
-  // Inline callables only promise nothrow move-construction, not trivial
-  // relocatability. Growing the slot table must route the move through the
-  // callable's move constructor (the ops relocate hook), not a byte copy —
-  // a self-referential capture detects the difference.
-  struct SelfRef {
-    std::uint32_t value;
-    SelfRef* self;
-    explicit SelfRef(std::uint32_t v) : value(v), self(this) {}
-    SelfRef(const SelfRef& o) : value(o.value), self(this) {}
-    SelfRef(SelfRef&& o) noexcept : value(o.value), self(this) {}
-    bool intact() const { return self == this; }
-  };
-  static_assert(sizeof(SelfRef) <= EventArena::kInlineBytes);
-
-  Simulation sim;
-  int fired = 0;
-  int intact = 0;
-  // Enough events to force several slots_ reallocations while all earlier
-  // callables are still pending.
-  for (std::uint32_t i = 0; i < 300; ++i) {
-    sim.schedule(milliseconds(1 + static_cast<std::int64_t>(i)),
-                 [sr = SelfRef{i}, &fired, &intact] {
-                   ++fired;
-                   if (sr.intact()) ++intact;
-                 });
-  }
-  sim.run();
-  EXPECT_EQ(fired, 300);
-  EXPECT_EQ(intact, 300);
 }
 
 TEST(EventArena, EventsExecutedCounts) {

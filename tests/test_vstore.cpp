@@ -43,7 +43,7 @@ TEST(Command, TypicalPacketIsUnder50Bytes) {
   CommandPacket p;
   p.type = CommandType::fetch_object;
   p.data = "obj-12345.jpg";
-  EXPECT_LT(p.wire_size(), 50u);
+  EXPECT_LT(p.serialize().size(), 50u);
 }
 
 TEST(Command, WireBytesArePinned) {
