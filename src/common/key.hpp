@@ -6,6 +6,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -27,12 +28,14 @@ class Key {
   constexpr explicit Key(std::uint64_t raw) : v_(raw & kMask) {}
 
   /// Derives a key by hashing a name with SHA-1 and truncating to 40 bits.
-  static Key from_name(std::string_view name) {
-    const auto d = Sha1::hash(name);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 5; ++i) v = (v << 8) | d[i];
-    return Key{v};
-  }
+  /// An op derives its object's key at every layer it crosses, so results
+  /// are memoized: a fixed table of kMemoSlots slots, direct-mapped by
+  /// `std::hash` of the name, each holding one name and its key. A slot is
+  /// used only when its stored name equals `name`. The table is process-wide
+  /// and unsynchronized, like the coroutine frame pool (the simulator is
+  /// single-threaded), and its contents never change a result.
+  static Key from_name(std::string_view name);
+  static constexpr std::size_t kMemoSlots = 1024;
 
   constexpr std::uint64_t raw() const { return v_; }
 

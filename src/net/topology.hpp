@@ -22,7 +22,6 @@ namespace c4h::net {
 
 struct NetNodeId {
   std::uint32_t v = UINT32_MAX;
-  bool valid() const { return v != UINT32_MAX; }
   friend bool operator==(NetNodeId a, NetNodeId b) { return a.v == b.v; }
 };
 

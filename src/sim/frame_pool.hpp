@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 
 #include <sanitizer/asan_interface.h>
@@ -47,6 +48,7 @@ class FramePool {
 #endif
 
   void* allocate(std::size_t n) {
+    ++allocations_;
     if (n > kMaxBytes) return ::operator new(n);
     Block*& head = free_[class_of(n)];
     if (head == nullptr) return ::operator new(block_bytes(n));
@@ -55,6 +57,9 @@ class FramePool {
     head = b->next;
     return b;
   }
+
+  /// Frames handed out since the process started, pooled or not.
+  std::uint64_t allocations() const { return allocations_; }
 
   void release(void* p, std::size_t n) noexcept {
     if (n > kMaxBytes) {
@@ -78,6 +83,7 @@ class FramePool {
   }
 
   std::array<Block*, kMaxBytes / kClassBytes> free_{};
+  std::uint64_t allocations_ = 0;
 };
 
 /// The one pool every Task frame comes from.

@@ -115,8 +115,6 @@ class [[nodiscard]] Task {
   Task& operator=(const Task&) = delete;
   ~Task() { destroy(); }
 
-  bool valid() const { return h_ != nullptr; }
-
   auto operator co_await() & {
     struct Awaiter {
       std::coroutine_handle<promise_type> h;

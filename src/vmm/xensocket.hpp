@@ -48,10 +48,10 @@ class XenSocketChannel {
   const XenSocketConfig& config() const { return config_; }
 
   /// Moves `size` bytes across the domain boundary (either direction).
-  sim::Task<> transfer(Bytes size) {
+  [[nodiscard]] auto transfer(Bytes size) {
     ++transfers_;
     bytes_moved_ += size;
-    co_await sim_.delay(transfer_time_for(size));
+    return sim_.delay(transfer_time_for(size));
   }
 
   /// Cost model exposed for placement decisions and tests.

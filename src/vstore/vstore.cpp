@@ -7,9 +7,16 @@ namespace c4h::vstore {
 
 namespace {
 
-// Command handling on the shared-memory channel: sub-millisecond, paid per
-// request and per reply.
-constexpr Duration kCommandLatency = microseconds(300);
+// A command round trip on the shared-memory channel: sub-millisecond
+// handling, paid per request and per reply, plus 40 ns per wire byte. Every
+// command has the codec's fixed-width framing (25 bytes, under the paper's
+// ~50), so the cost is computed once.
+const Duration kCommandRoundTrip = [] {
+  CommandPacket cmd;
+  cmd.type = CommandType::fetch_object;
+  cmd.shm_ref = 0xC4;
+  return microseconds(300) + nanoseconds(static_cast<std::int64_t>(cmd.serialize().size()) * 40);
+}();
 
 }  // namespace
 
@@ -34,17 +41,12 @@ obs::Ctx VStoreNode::op_ctx(obs::Ctx parent) {
   return parent.on() ? parent : cloud_.trace_ctx();
 }
 
-sim::Task<Duration> VStoreNode::command_round_trip(obs::Ctx ctx) {
-  obs::ScopedSpan sp(ctx, "vstore.command");
-  // Exercise the real codec so framing stays under the paper's ~50 bytes.
-  CommandPacket cmd;
-  cmd.type = CommandType::fetch_object;
-  cmd.domain_id = static_cast<std::uint32_t>(app_domain_.id());
-  cmd.shm_ref = 0xC4;
-  const auto wire = cmd.serialize();
-  const Duration per_byte = nanoseconds(static_cast<std::int64_t>(wire.size()) * 40);
-  co_await cloud_.sim().delay(kCommandLatency + per_byte);
-  co_return kCommandLatency + per_byte;
+void VStoreNode::CommandRoundTrip::await_suspend(std::coroutine_handle<> h) {
+  sim.schedule(kCommandRoundTrip, [h] { h.resume(); });
+}
+
+VStoreNode::CommandRoundTrip VStoreNode::command_round_trip(obs::Ctx ctx) {
+  return {cloud_.sim(), obs::ScopedSpan(ctx, "vstore.command")};
 }
 
 sim::Task<Result<void>> VStoreNode::publish_services() {

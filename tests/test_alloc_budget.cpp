@@ -1,9 +1,10 @@
-// Allocation budget of the untraced op path: global operator new calls per
-// store and per fetch on the paper's six-node home, after a warm-up. The
-// counts are exact and deterministic, so each ceiling is the count the
-// current op path makes: a change that adds allocations to it fails here,
-// and one that removes some should lower the ceiling to the new count. The
-// event engine on its own allocates nothing once warm.
+// Allocation budget of the untraced op path: global operator new calls and
+// coroutine frames per store and per fetch on the paper's six-node home,
+// after a warm-up. The counts are exact and deterministic, so each ceiling
+// is the count the current op path makes: a change that adds allocations or
+// frames to it fails here, and one that removes some should lower the
+// ceiling to the new count. The event engine on its own allocates nothing
+// once warm.
 //
 // Its own executable, because it replaces the global operator new to count.
 #include <gtest/gtest.h>
@@ -37,10 +38,15 @@ using sim::Task;
 constexpr int kWarmup = 60;
 constexpr int kOps = 120;
 
-// Ceilings: the exact counts of the current op path over kOps ops, 16.9
-// allocations per store and 5.6 per fetch.
-constexpr std::uint64_t kStoreCeiling = 2027;
-constexpr std::uint64_t kFetchCeiling = 674;
+// Ceilings: the exact counts of the current op path over kOps ops, 13.9
+// allocations per store and 3.6 per fetch.
+constexpr std::uint64_t kStoreCeiling = 1667;
+constexpr std::uint64_t kFetchCeiling = 434;
+// Coroutine frames (sim::detail::frame_pool), 16.0 per store and 10.6 per
+// fetch. Control messages, command round trips and XenSocket copies are
+// awaiters, not frames.
+constexpr std::uint64_t kStoreFrames = 1922;
+constexpr std::uint64_t kFetchFrames = 1268;
 
 std::string object_name(int i) { return "budget-" + std::to_string(i) + ".dat"; }
 
@@ -82,19 +88,29 @@ TEST(AllocBudget, UntracedStoreAndFetchOnSixNodeHome) {
   hc.run(store_range(hc, 0, kWarmup));
   hc.run(fetch_range(hc, 0, kWarmup));
 
+  const sim::detail::FramePool& pool = sim::detail::frame_pool;
   const std::uint64_t before_stores = g_allocations;
+  const std::uint64_t frames_before_stores = pool.allocations();
   hc.run(store_range(hc, kWarmup, kOps));
   const std::uint64_t stores = g_allocations - before_stores;
+  const std::uint64_t store_frames = pool.allocations() - frames_before_stores;
   const std::uint64_t before_fetches = g_allocations;
+  const std::uint64_t frames_before_fetches = pool.allocations();
   hc.run(fetch_range(hc, kWarmup, kOps));
   const std::uint64_t fetches = g_allocations - before_fetches;
+  const std::uint64_t fetch_frames = pool.allocations() - frames_before_fetches;
 
-  std::printf("allocations: %llu over %d stores (%.3f/op), %llu over %d fetches (%.3f/op)\n",
-              static_cast<unsigned long long>(stores), kOps, static_cast<double>(stores) / kOps,
-              static_cast<unsigned long long>(fetches), kOps,
-              static_cast<double>(fetches) / kOps);
+  const auto report = [](const char* what, std::uint64_t s, std::uint64_t f) {
+    std::printf("%s: %llu over %d stores (%.3f/op), %llu over %d fetches (%.3f/op)\n", what,
+                static_cast<unsigned long long>(s), kOps, static_cast<double>(s) / kOps,
+                static_cast<unsigned long long>(f), kOps, static_cast<double>(f) / kOps);
+  };
+  report("allocations", stores, fetches);
+  report("frames", store_frames, fetch_frames);
   EXPECT_LE(stores, kStoreCeiling);
   EXPECT_LE(fetches, kFetchCeiling);
+  EXPECT_LE(store_frames, kStoreFrames);
+  EXPECT_LE(fetch_frames, kFetchFrames);
 }
 
 TEST(AllocBudget, WarmEngineScheduleCancelFireAllocatesNothing) {

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/common/key.hpp"
 #include "src/common/result.hpp"
@@ -105,6 +108,48 @@ TEST(Key, FromNameIs40Bits) {
 TEST(Key, Deterministic) {
   EXPECT_EQ(Key::from_name("a"), Key::from_name("a"));
   EXPECT_NE(Key::from_name("a"), Key::from_name("b"));
+}
+
+TEST(Key, FromNameMatchesSha1AcrossMemoCollisions) {
+  const auto direct = [](std::string_view name) {
+    const Sha1::Digest d = Sha1::hash(name);
+    std::uint64_t v = 0;
+    for (int i = 0; i < 5; ++i) v = (v << 8) | d[static_cast<std::size_t>(i)];
+    return Key{v};
+  };
+  // Four names per memo slot on average, grouped by the slot they share.
+  std::vector<std::vector<std::string>> by_slot(Key::kMemoSlots);
+  for (std::size_t i = 0; i < 4 * Key::kMemoSlots; ++i) {
+    std::string name = "object-" + std::to_string(i) + ".dat";
+    by_slot[std::hash<std::string_view>{}(name) % Key::kMemoSlots].push_back(std::move(name));
+  }
+  by_slot[std::hash<std::string_view>{}("") % Key::kMemoSlots].push_back("");
+  std::size_t shared = 0;
+  std::size_t checked = 0;
+  std::size_t wrong = 0;
+  const auto check = [&](const std::string& name) {
+    ++checked;
+    if (Key::from_name(name) != direct(name)) ++wrong;
+  };
+  for (const std::vector<std::string>& names : by_slot) {
+    if (names.size() >= 2) ++shared;
+    // Each name twice in a row (a hit), then the slot's names interleaved,
+    // so every lookup after the first evicts the one before it.
+    for (const std::string& n : names) {
+      check(n);
+      check(n);
+    }
+    for (int round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i + 1 < names.size(); ++i) {
+        check(names[i]);
+        check(names[i + 1]);
+        check(names[i]);
+      }
+    }
+  }
+  EXPECT_GT(shared, Key::kMemoSlots / 2);
+  EXPECT_GT(checked, 8 * Key::kMemoSlots);
+  EXPECT_EQ(wrong, 0u);
 }
 
 TEST(Key, DigitsRoundTrip) {

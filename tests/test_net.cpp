@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <string>
@@ -17,6 +18,8 @@
 #include "src/net/network.hpp"
 #include "src/net/tcp_model.hpp"
 #include "src/net/topology.hpp"
+#include "src/obs/trace.hpp"
+#include "src/sim/fault.hpp"
 #include "src/sim/simulation.hpp"
 #include "src/sim/sync.hpp"
 
@@ -480,6 +483,103 @@ TEST(Network, MessageLatencyIncludesHops) {
   sim.run();
   // 2 hops × (0.1 ms latency + 1 ms processing) ≈ 2.2 ms.
   EXPECT_NEAR(to_milliseconds(took), 2.2, 0.3);
+}
+
+// Sends of every kind under a plan that drops half the messages, with the
+// time, drops and events each one took.
+struct MessageProbe {
+  Simulation& sim;
+  Network& net;
+  const sim::FaultPlan& plan;
+  obs::Ctx ctx;
+  NetNodeId a, b;
+  Duration path{};  // a→b latency of a 50-byte message (no jitter on make_lan)
+  Duration hop{};   // per-hop processing, all a message to its own node costs
+  std::uint64_t reliable_drops = 0;
+  std::uint64_t retransmits_after_reliable = 0;
+  int delivered_tries = 0;
+};
+
+Task<> probe_messages(MessageProbe& p) {
+  const Duration loss = p.plan.spec().loss_detection;
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t drops0 = p.plan.stats().messages_dropped;
+    const std::uint64_t events0 = p.sim.events_executed();
+    const TimePoint t0 = p.sim.now();
+    co_await p.net.send_message(p.a, p.b, 50, p.ctx);
+    const std::uint64_t drops = p.plan.stats().messages_dropped - drops0;
+    EXPECT_EQ(p.sim.now() - t0, static_cast<std::int64_t>(drops) * loss + p.path);
+    EXPECT_EQ(p.sim.events_executed() - events0, drops + 1) << "one event per attempt";
+    p.reliable_drops += drops;
+  }
+  p.retransmits_after_reliable = p.net.stats().retransmits;
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t drops0 = p.plan.stats().messages_dropped;
+    const std::uint64_t events0 = p.sim.events_executed();
+    const TimePoint t0 = p.sim.now();
+    const bool delivered = co_await p.net.try_send_message(p.a, p.b, 50, p.ctx);
+    EXPECT_EQ(delivered, p.plan.stats().messages_dropped == drops0);
+    EXPECT_EQ(p.sim.now() - t0, delivered ? p.path : loss);
+    EXPECT_EQ(p.sim.events_executed() - events0, 1u);
+    p.delivered_tries += delivered ? 1 : 0;
+  }
+  for (int i = 0; i < 20; ++i) {
+    const std::uint64_t drops0 = p.plan.stats().messages_dropped;
+    TimePoint t0 = p.sim.now();
+    const bool delivered = co_await p.net.try_send_message(p.a, p.a, 50, p.ctx);
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(p.sim.now() - t0, p.hop);
+    t0 = p.sim.now();
+    co_await p.net.send_message(p.b, p.b, 50, p.ctx);
+    EXPECT_EQ(p.sim.now() - t0, p.hop);
+    EXPECT_EQ(p.plan.stats().messages_dropped, drops0) << "a message to its own node";
+  }
+}
+
+TEST(Network, MessagesUnderDropsPayLossDetectionPerDropAndOneEventPerAttempt) {
+  Simulation sim{3};
+  auto hp = make_lan();
+  Network net{sim, std::move(hp.topo)};
+  sim::FaultSpec spec;
+  spec.msg_drop = 0.5;
+  spec.horizon = seconds(3600);
+  auto plan = std::make_shared<sim::FaultPlan>(sim, spec);
+  sim.set_fault_plan(plan);
+  obs::Tracer tracer{sim, 3};
+  tracer.set_enabled(true);
+  MessageProbe p{sim, net, *plan, obs::Ctx{&tracer, 0}, hp.a, hp.b};
+  p.path = net.sample_message_latency(hp.a, hp.b, 50);
+  p.hop = net.sample_message_latency(hp.a, hp.a, 50);
+  EXPECT_EQ(p.hop, microseconds(100));
+  sim.spawn(probe_messages(p));
+  sim.run();
+
+  // Reliable sends: every drop is one retransmit and one dropped span.
+  EXPECT_GT(p.reliable_drops, 0u);
+  EXPECT_EQ(p.retransmits_after_reliable, p.reliable_drops);
+  EXPECT_EQ(net.stats().retransmits, p.reliable_drops) << "unreliable sends never retransmit";
+  // Unreliable sends: some got through, some were dropped.
+  EXPECT_GT(p.delivered_tries, 0);
+  EXPECT_LT(p.delivered_tries, 40);
+  const std::uint64_t try_drops = 40 - static_cast<std::uint64_t>(p.delivered_tries);
+  EXPECT_EQ(plan->stats().messages_dropped, p.reliable_drops + try_drops);
+
+  std::uint64_t spans = 0;
+  std::uint64_t dropped_spans = 0;
+  for (const obs::Span& s : tracer.spans()) {
+    ASSERT_EQ(s.name, "net.msg");
+    ASSERT_TRUE(s.finished);
+    ++spans;
+    if (s.status == obs::SpanStatus::error) {
+      EXPECT_EQ(s.note, "dropped");
+      EXPECT_EQ(s.duration(), spec.loss_detection);
+      ++dropped_spans;
+    }
+  }
+  EXPECT_EQ(dropped_spans, plan->stats().messages_dropped);
+  // One span and one counted message per attempt.
+  EXPECT_EQ(spans, 40 + p.reliable_drops + 40 + 40);
+  EXPECT_EQ(net.stats().messages_sent, spans);
 }
 
 TEST(Network, JitteredLinkProducesVariableRates) {

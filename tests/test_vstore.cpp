@@ -125,6 +125,34 @@ struct Cloud : HomeCloud {
   }
 };
 
+TEST(VStore, CreateObjectIsOneCommandRoundTrip) {
+  // A command round trip costs 300 µs of handling plus 40 ns per wire byte
+  // of the command packet, and create_object is nothing else.
+  CommandPacket cmd;
+  cmd.type = CommandType::fetch_object;
+  const Duration round_trip =
+      microseconds(300) + nanoseconds(static_cast<std::int64_t>(cmd.serialize().size()) * 40);
+  EXPECT_EQ(round_trip, microseconds(301));  // a 25-byte packet
+  Cloud hc;
+  hc.tracer().set_enabled(true);
+  Duration took{};
+  hc.run([](HomeCloud& h, Duration& out) -> Task<> {
+    const TimePoint t0 = h.sim().now();
+    auto created = co_await h.node(0).create_object(make_meta("cmd.jpg", 1_MB));
+    EXPECT_TRUE(created.ok());
+    out = h.sim().now() - t0;
+  }(hc, took));
+  EXPECT_EQ(took, round_trip);
+  const obs::Span* create = hc.tracer().find_by_name("vstore.create");
+  ASSERT_NE(create, nullptr);
+  EXPECT_EQ(create->duration(), round_trip);
+  const auto children = hc.tracer().children(create->id);
+  ASSERT_EQ(children.size(), 1u);
+  EXPECT_EQ(children[0]->name, "vstore.command");
+  EXPECT_TRUE(children[0]->finished);
+  EXPECT_EQ(children[0]->duration(), round_trip);
+}
+
 TEST(VStore, StoreWithoutCreateFails) {
   Cloud hc;
   hc.run([](HomeCloud& h) -> Task<> {
