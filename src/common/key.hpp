@@ -28,14 +28,18 @@ class Key {
   constexpr explicit Key(std::uint64_t raw) : v_(raw & kMask) {}
 
   /// Derives a key by hashing a name with SHA-1 and truncating to 40 bits.
-  /// An op derives its object's key at every layer it crosses, so results
-  /// are memoized: a fixed table of kMemoSlots slots, direct-mapped by
-  /// `std::hash` of the name, each holding one name and its key. A slot is
-  /// used only when its stored name equals `name`. The table is process-wide
-  /// and unsynchronized, like the coroutine frame pool (the simulator is
-  /// single-threaded), and its contents never change a result.
+  /// Each store or fetch attempt hashes its object's name, and workloads
+  /// return to the same objects, so results are memoized: a fixed table of
+  /// kMemoSlots slots, direct-mapped by `std::hash` of the name, each holding
+  /// one name and its key. A slot is used only when its stored name equals
+  /// `name`. The table is process-wide and unsynchronized, like the coroutine
+  /// frame pool (the simulator is single-threaded), and its contents never
+  /// change a result.
   static Key from_name(std::string_view name);
-  static constexpr std::size_t kMemoSlots = 1024;
+  /// Four slots per name of the largest working set perfbench measures
+  /// (city_fetch's 32 homes × 32 objects), of which a direct-mapped table
+  /// keeps about 88% resident (DESIGN.md §13).
+  static constexpr std::size_t kMemoSlots = 4096;
 
   constexpr std::uint64_t raw() const { return v_; }
 

@@ -54,36 +54,36 @@ sim::Task<> Network::transfer_striped(NetNodeId src, NetNodeId dst, Bytes size,
   co_await sim::when_all(s, std::move(stripes));
 }
 
-void Network::Message::attempt() {
-  ++net_.stats_.messages_sent;
-  span_ = obs::ScopedSpan(ctx_, "net.msg");
-  span_.attr("bytes", static_cast<std::uint64_t>(size_));
-  Duration lat = net_.sample_message_latency(src_, dst_, size_);
-  delivered_ = true;
-  if (sim::FaultPlan* fp = net_.sim_.fault(); fp != nullptr && src_ != dst_) {
+sim::Task<> Network::send_message(NetNodeId src, NetNodeId dst, Bytes size, obs::Ctx ctx) {
+  // (await in a declaration, not the loop condition: GCC 12 miscompiles
+  // co_await of a temporary task inside a loop condition)
+  for (;;) {
+    const bool delivered = co_await try_send_message(src, dst, size, ctx);
+    if (delivered) co_return;
+    ++stats_.retransmits;
+  }
+}
+
+sim::Task<bool> Network::try_send_message(NetNodeId src, NetNodeId dst, Bytes size,
+                                          obs::Ctx ctx) {
+  ++stats_.messages_sent;
+  obs::ScopedSpan sp(ctx, "net.msg");
+  sp.attr("bytes", static_cast<std::uint64_t>(size));
+  Duration lat = sample_message_latency(src, dst, size);
+  if (sim::FaultPlan* fp = sim_.fault(); fp != nullptr && src != dst) {
     const sim::MessageFault f = fp->message_fault();
     if (f.drop) {
       // The message dies in flight; the sender only learns from its
       // retransmit timer.
-      span_.set_error("dropped");
-      delivered_ = false;
-      lat = fp->spec().loss_detection;
-    } else {
-      if (f.duplicate) ++net_.stats_.messages_sent;  // the copy costs traffic only
-      lat += f.extra_delay;
+      sp.set_error("dropped");
+      co_await sim_.delay(fp->spec().loss_detection);
+      co_return false;
     }
+    if (f.duplicate) ++stats_.messages_sent;  // the copy costs traffic only
+    lat += f.extra_delay;
   }
-  net_.sim_.schedule(lat, [this] { arrive(); });
-}
-
-void Network::Message::arrive() {
-  span_.end();
-  if (delivered_ || !reliable_) {
-    waiter_.resume();
-    return;
-  }
-  ++net_.stats_.retransmits;
-  attempt();
+  co_await sim_.delay(lat);
+  co_return true;
 }
 
 Duration Network::sample_message_latency(NetNodeId src, NetNodeId dst, Bytes size) {

@@ -13,11 +13,7 @@
 // reschedules, so no later boundary could fire before being replaced.
 //
 // Small control messages (VStore++ commands are < 50 bytes, §IV) are pure
-// latency: they never book bandwidth. A message is not a coroutine: sending
-// one returns a `Message` awaiter whose every attempt is one event, and that
-// event holds a pointer to the awaiter in the sender's frame, as
-// `Simulation::delay`'s event holds the frame's handle. The sender must stay
-// suspended on it until it resumes.
+// latency: they never book bandwidth.
 #pragma once
 
 #include <coroutine>
@@ -44,43 +40,6 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// One control message: what send_message and try_send_message return.
-  /// Each attempt counts the message, opens a `net.msg` span, samples the
-  /// latency, consults the fault plan and schedules one event; the event
-  /// ends the span and resumes the sender, or, when a reliable send was
-  /// dropped, counts a retransmit and starts the next attempt. `co_await`
-  /// yields whether the message got through (always true when reliable).
-  class [[nodiscard]] Message {
-   public:
-    Message(const Message&) = delete;  // the pending event points at it
-    Message& operator=(const Message&) = delete;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      waiter_ = h;
-      attempt();
-    }
-    bool await_resume() const noexcept { return delivered_; }
-
-   private:
-    friend class Network;
-    Message(Network& net, NetNodeId src, NetNodeId dst, Bytes size, obs::Ctx ctx, bool reliable)
-        : net_(net), src_(src), dst_(dst), size_(size), ctx_(ctx), reliable_(reliable) {}
-
-    void attempt();
-    void arrive();  // the attempt's event
-
-    Network& net_;
-    NetNodeId src_;
-    NetNodeId dst_;
-    Bytes size_;
-    obs::Ctx ctx_;
-    bool reliable_;
-    bool delivered_ = false;
-    obs::ScopedSpan span_;
-    std::coroutine_handle<> waiter_;
-  };
-
   Network(sim::Simulation& sim, Topology topology)
       : sim_(sim), topo_(std::move(topology)), rng_(sim.rng().fork()) {}
 
@@ -107,19 +66,15 @@ class Network {
   /// per-hop processing cost; no bandwidth is booked. Reliable: when a fault
   /// plan drops the message, the sender retransmits (paying the loss-
   /// detection timeout each time) until it gets through.
-  [[nodiscard]] Message send_message(NetNodeId src, NetNodeId dst, Bytes size = 50,
-                                     obs::Ctx ctx = {}) {
-    return Message{*this, src, dst, size, ctx, /*reliable=*/true};
-  }
+  [[nodiscard]] sim::Task<> send_message(NetNodeId src, NetNodeId dst, Bytes size = 50,
+                                         obs::Ctx ctx = {});
 
-  /// Unreliable variant: one send attempt. Yields false if the fault layer
+  /// Unreliable variant: one send attempt. Returns false if the fault layer
   /// dropped the message — the caller resumes only after its loss-detection
   /// timeout has elapsed, and owns the retry/backoff decision. The hardened
   /// KV/VStore paths use this to drive their own per-operation timeouts.
-  [[nodiscard]] Message try_send_message(NetNodeId src, NetNodeId dst, Bytes size = 50,
-                                         obs::Ctx ctx = {}) {
-    return Message{*this, src, dst, size, ctx, /*reliable=*/false};
-  }
+  [[nodiscard]] sim::Task<bool> try_send_message(NetNodeId src, NetNodeId dst, Bytes size = 50,
+                                                 obs::Ctx ctx = {});
 
   /// One-way message latency sample (used by send_message).
   Duration sample_message_latency(NetNodeId src, NetNodeId dst, Bytes size);

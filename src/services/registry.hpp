@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -17,9 +18,12 @@ class ServiceRegistry {
  public:
   explicit ServiceRegistry(kv::KvStore& kv) : kv_(kv) {}
 
-  /// Makes a profile known (the a-priori deployment-time step).
+  /// Makes a profile known (the a-priori deployment-time step) and hashes
+  /// its registry key, once.
   void add_profile(ServiceProfile profile) {
-    profiles_.emplace(profile.registry_key_name(), std::move(profile));
+    std::string key_name = profile.registry_key_name();
+    const Key key = hash_key(key_name);
+    profiles_.emplace(std::move(key_name), Known{std::move(profile), key});
   }
 
   const ServiceProfile* profile(const std::string& name, std::uint32_t id) const {
@@ -28,11 +32,16 @@ class ServiceRegistry {
 
   const ServiceProfile* profile_by_key_name(const std::string& key_name) const {
     const auto it = profiles_.find(key_name);
-    return it != profiles_.end() ? &it->second : nullptr;
+    return it != profiles_.end() ? &it->second.profile : nullptr;
   }
 
-  static Key registry_key(const ServiceProfile& p) {
-    return Key::from_name("service:" + p.registry_key_name());
+  /// The key the service's node list lives under: the hash of "service:" ++
+  /// name ++ "#" ++ id, computed when the profile was added (and on every
+  /// call for a profile never added).
+  Key registry_key(const ServiceProfile& p) const {
+    const std::string key_name = p.registry_key_name();
+    const auto it = profiles_.find(key_name);
+    return it != profiles_.end() ? it->second.key : hash_key(key_name);
   }
 
   /// Registers `node` as offering the service (read-modify-write of the node
@@ -71,6 +80,13 @@ class ServiceRegistry {
   }
 
  private:
+  struct Known {
+    ServiceProfile profile;
+    Key key;  // registry_key(profile)
+  };
+
+  static Key hash_key(const std::string& key_name) { return Key::from_name("service:" + key_name); }
+
   static Buffer encode_nodes(const std::vector<Key>& nodes) {
     Writer w{sizeof(std::uint32_t) + nodes.size() * sizeof(std::uint64_t)};
     w.write_vector(nodes, [](Writer& ww, Key k) { ww.write(k.raw()); });
@@ -87,7 +103,7 @@ class ServiceRegistry {
   }
 
   kv::KvStore& kv_;
-  std::unordered_map<std::string, ServiceProfile> profiles_;
+  std::unordered_map<std::string, Known> profiles_;  // by registry_key_name()
 };
 
 }  // namespace c4h::services

@@ -14,6 +14,7 @@
 // previous map-based engine, byte for byte.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 
@@ -28,6 +29,19 @@ using c4h::Duration;
 using c4h::TimePoint;
 
 class FaultPlan;  // sim/fault.hpp; installed via install_fault_plan()
+
+class Simulation;
+
+/// What `co_await sim.delay(d)` suspends on: one event, `d` from now, that
+/// resumes the awaiting coroutine. The event holds the coroutine's handle,
+/// so the coroutine must stay suspended on it until it fires.
+struct Delay {
+  Simulation& sim;
+  Duration d;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h);
+  void await_resume() const noexcept {}
+};
 
 /// Handle for a scheduled callback; allows cancellation. Generation-tagged:
 /// an id stays invalid forever once its event fired or was cancelled, even
@@ -143,18 +157,7 @@ class Simulation {
   }
 
   /// Awaitable pause: co_await sim.delay(d).
-  auto delay(Duration d) {
-    struct Awaiter {
-      Simulation& sim;
-      Duration d;
-      bool await_ready() { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        sim.schedule(d, [h] { h.resume(); });
-      }
-      void await_resume() {}
-    };
-    return Awaiter{*this, d};
-  }
+  Delay delay(Duration d) { return Delay{*this, d}; }
 
  private:
   friend void detail::deregister_detached(Simulation& sim, detail::PromiseBase& p) noexcept;
@@ -176,6 +179,10 @@ class Simulation {
   // simulation.hpp depending on fault.hpp.
   std::shared_ptr<FaultPlan> fault_;
 };
+
+inline void Delay::await_suspend(std::coroutine_handle<> h) {
+  sim.schedule(d, [h] { h.resume(); });
+}
 
 namespace detail {
 inline void deregister_detached(Simulation& sim, PromiseBase& p) noexcept {

@@ -48,7 +48,7 @@ class XenSocketChannel {
   const XenSocketConfig& config() const { return config_; }
 
   /// Moves `size` bytes across the domain boundary (either direction).
-  [[nodiscard]] auto transfer(Bytes size) {
+  [[nodiscard]] sim::Delay transfer(Bytes size) {
     ++transfers_;
     bytes_moved_ += size;
     return sim_.delay(transfer_time_for(size));

@@ -9,14 +9,11 @@ namespace {
 
 // A command round trip on the shared-memory channel: sub-millisecond
 // handling, paid per request and per reply, plus 40 ns per wire byte. Every
-// command has the codec's fixed-width framing (25 bytes, under the paper's
-// ~50), so the cost is computed once.
-const Duration kCommandRoundTrip = [] {
-  CommandPacket cmd;
-  cmd.type = CommandType::fetch_object;
-  cmd.shm_ref = 0xC4;
-  return microseconds(300) + nanoseconds(static_cast<std::int64_t>(cmd.serialize().size()) * 40);
-}();
+// command the node sends carries no data, and the codec's other fields are
+// fixed-width, so every command is the same 25 bytes (under the paper's ~50)
+// and the cost is computed once.
+const Duration kCommandRoundTrip =
+    microseconds(300) + nanoseconds(static_cast<std::int64_t>(CommandPacket{}.serialize().size()) * 40);
 
 }  // namespace
 
@@ -41,12 +38,8 @@ obs::Ctx VStoreNode::op_ctx(obs::Ctx parent) {
   return parent.on() ? parent : cloud_.trace_ctx();
 }
 
-void VStoreNode::CommandRoundTrip::await_suspend(std::coroutine_handle<> h) {
-  sim.schedule(kCommandRoundTrip, [h] { h.resume(); });
-}
-
 VStoreNode::CommandRoundTrip VStoreNode::command_round_trip(obs::Ctx ctx) {
-  return {cloud_.sim(), obs::ScopedSpan(ctx, "vstore.command")};
+  return {{cloud_.sim(), kCommandRoundTrip}, obs::ScopedSpan(ctx, "vstore.command")};
 }
 
 sim::Task<Result<void>> VStoreNode::publish_services() {

@@ -13,7 +13,6 @@
 // exactly what Table I and Figs 4-8 report.
 #pragma once
 
-#include <coroutine>
 #include <memory>
 #include <optional>
 #include <set>
@@ -176,14 +175,10 @@ class VStoreNode {
                                       TimePoint t0, obs::Ctx ctx);
   sim::Task<Result<ObjectLocation>> place_object(const ObjectMeta& meta, StoreOptions& opts,
                                                  StoreOutcome& out, obs::Ctx ctx);
-  /// One command and its reply on the shared-memory channel: a fixed wait
+  /// One command and its reply on the shared-memory channel: a fixed delay
   /// inside the `vstore.command` span the awaiter holds.
-  struct [[nodiscard]] CommandRoundTrip {
-    sim::Simulation& sim;
+  struct [[nodiscard]] CommandRoundTrip : sim::Delay {
     obs::ScopedSpan span;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    void await_resume() const noexcept {}
   };
   CommandRoundTrip command_round_trip(obs::Ctx ctx = {});
   /// Root context for an operation: `parent` when set, else the deployment

@@ -42,11 +42,10 @@ constexpr int kOps = 120;
 // allocations per store and 3.6 per fetch.
 constexpr std::uint64_t kStoreCeiling = 1667;
 constexpr std::uint64_t kFetchCeiling = 434;
-// Coroutine frames (sim::detail::frame_pool), 16.0 per store and 10.6 per
-// fetch. Control messages, command round trips and XenSocket copies are
-// awaiters, not frames.
-constexpr std::uint64_t kStoreFrames = 1922;
-constexpr std::uint64_t kFetchFrames = 1268;
+// Coroutine frames (sim::detail::frame_pool), 25.6 per store and 15.1 per
+// fetch. Command round trips and XenSocket copies are awaiters, not frames.
+constexpr std::uint64_t kStoreFrames = 3071;
+constexpr std::uint64_t kFetchFrames = 1814;
 
 std::string object_name(int i) { return "budget-" + std::to_string(i) + ".dat"; }
 

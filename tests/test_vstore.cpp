@@ -128,10 +128,8 @@ struct Cloud : HomeCloud {
 TEST(VStore, CreateObjectIsOneCommandRoundTrip) {
   // A command round trip costs 300 µs of handling plus 40 ns per wire byte
   // of the command packet, and create_object is nothing else.
-  CommandPacket cmd;
-  cmd.type = CommandType::fetch_object;
   const Duration round_trip =
-      microseconds(300) + nanoseconds(static_cast<std::int64_t>(cmd.serialize().size()) * 40);
+      microseconds(300) + nanoseconds(static_cast<std::int64_t>(CommandPacket{}.serialize().size()) * 40);
   EXPECT_EQ(round_trip, microseconds(301));  // a 25-byte packet
   Cloud hc;
   hc.tracer().set_enabled(true);
