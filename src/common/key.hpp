@@ -36,9 +36,10 @@ class Key {
   /// frame pool (the simulator is single-threaded), and its contents never
   /// change a result.
   static Key from_name(std::string_view name);
-  /// Four slots per name of the largest working set perfbench measures
-  /// (city_fetch's 32 homes × 32 objects), of which a direct-mapped table
-  /// keeps about 88% resident (DESIGN.md §13).
+  /// Four slots per name of city_fetch's working set (32 homes × 32
+  /// objects, every name reused), of which a direct-mapped table keeps about
+  /// 88% resident. DESIGN.md §13 gives each perfbench workload's hit rate by
+  /// slot count.
   static constexpr std::size_t kMemoSlots = 4096;
 
   constexpr std::uint64_t raw() const { return v_; }
